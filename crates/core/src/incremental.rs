@@ -1,34 +1,42 @@
 //! Incremental SCC maintenance over a [`DeltaGraph`] — the dynamic
 //! condensation engine (ROADMAP item 2, after Sa, arXiv 1804.01276).
 //!
-//! The engine keeps three things in lockstep with a stream of edge
+//! The engine keeps four things in lockstep with a stream of edge
 //! mutations: a per-node component label, the member list of every
-//! component, and a **topological position** per component — a sparse
+//! component, a **topological position** per component — a sparse
 //! `u64` rank over the condensation DAG with wide gaps, so local edits
-//! rarely renumber anything outside the touched region. The maintenance
-//! algebra per mutation:
+//! rarely renumber anything outside the touched region — and the
+//! condensation DAG itself. Labels, positions and the condensation are
+//! the copy-on-write structures of [`crate::shared`], which every
+//! published [`SccSnapshot`] shares. The maintenance algebra per
+//! mutation:
 //!
 //! * **Insert, in order** (`pos[scc(u)] < pos[scc(v)]`, or intra-SCC):
-//!   the current order already proves acyclicity — O(1), touch nothing.
+//!   the current order already proves acyclicity — O(1); only the
+//!   condensation overlay records the new edge.
 //! * **Insert, back edge**: bounded bidirectional discovery on the
 //!   condensation, restricted to the position window
 //!   `[pos[scc(v)], pos[scc(u)]]` (the Pearce–Kelly affected region,
 //!   arXiv cs/0608010 applied at SCC granularity): forward from `v`,
 //!   backward from `u`, expanding whole components via their member
-//!   lists. The intersection is the merge set — collapsed into one
-//!   component — and the region's positions are reassigned B-side from
-//!   the bottom of the old position pool, F-side from the top, which
-//!   preserves every constraint against untouched components (B-side
-//!   never moves up, F-side never moves down, and edges from outside the
-//!   window are outside the pool's range entirely).
-//! * **Delete, cross-component**: removing a condensation edge cannot
-//!   create a cycle or break the order — O(1).
+//!   lists. The intersection is the merge set — collapsed into its
+//!   largest component, whose condensation edges stay put while the
+//!   others' move onto it — and the region's positions are reassigned
+//!   B-side from the bottom of the old position pool, F-side from the
+//!   top, which preserves every constraint against untouched components
+//!   (B-side never moves up, F-side never moves down, and edges from
+//!   outside the window are outside the pool's range entirely).
+//! * **Delete, cross-component**: removing a graph edge between
+//!   components cannot create a cycle or break the order. The
+//!   condensation edge goes only with the last graph edge between the
+//!   two components, found by scanning the smaller one's adjacency.
 //! * **Delete, intra-component**: the owning SCC is dirty. Its members
 //!   are extracted as a local residue subgraph and the stock pipeline
 //!   re-runs on that residue only (the same LiveSet-restricted kernels
 //!   as a batch run, on a |residue|-sized input); a split allocates
 //!   fresh labels and packs the parts, in residue topological order,
-//!   into the position gap the old component occupied.
+//!   into the position gap the old component occupied, and replaces the
+//!   old component's condensation edges with the parts'.
 //!
 //! Any mutation whose affected region exceeds
 //! [`SccConfig::incremental_residue_limit`] degrades to a full rebuild —
@@ -46,7 +54,7 @@
 use crate::config::SccConfig;
 use crate::error::{RunGuard, SccError};
 use crate::pipeline::{run_pipeline, Pipeline};
-use crate::result::SccResult;
+use crate::shared::{topo_ranks, POS_GAP};
 use crate::snapshot::SccSnapshot;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeSet;
@@ -54,11 +62,6 @@ use swscc_graph::bfs::Direction;
 use swscc_graph::delta::CompactBackend;
 use swscc_graph::{CsrGraph, DeltaGraph, GraphView, NodeId};
 use swscc_sync::fault;
-
-/// Spacing between consecutive topological positions after a (re)build.
-/// Splits carve positions out of the gaps; a gap that runs dry triggers
-/// one global renumbering, which restores the full spacing.
-const POS_GAP: u64 = 1 << 32;
 
 /// What one mutation did to the partition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,28 +120,25 @@ pub enum Mutation {
     Delete(NodeId, NodeId),
 }
 
-/// Per-component bookkeeping: members and the topological position.
-#[derive(Clone, Debug)]
-struct CompMeta {
-    pos: u64,
-    members: Vec<NodeId>,
-}
-
 /// The maintenance engine: a mutable [`DeltaGraph`] plus the maintained
-/// partition and condensation order. See the module docs for the
-/// algorithm; [`IncrementalEngine::snapshot`] exports the partition as
-/// the same [`SccSnapshot`] the batch path builds, so the serve layer's
-/// epoch cycle is unchanged.
+/// partition, condensation and topological order. See the module docs
+/// for the algorithm; [`IncrementalEngine::snapshot`] publishes the
+/// maintained state as the same [`SccSnapshot`] the batch path builds,
+/// sharing every page and the condensation base with the epoch before.
 pub struct IncrementalEngine<G: CompactBackend> {
     graph: DeltaGraph<G>,
     pipeline: Pipeline,
     cfg: SccConfig,
-    /// Node -> component label. Labels are *not* dense; snapshot export
-    /// densifies through [`SccResult::from_assignment`].
-    labels: Vec<u32>,
-    comps: FxHashMap<u32, CompMeta>,
+    /// Labels (node -> component id, not dense), positions (component
+    /// id -> topological position) and the condensation: the state the
+    /// next snapshot publishes. Writes go through its copy-on-write
+    /// pages and overlay, so published epochs never see them.
+    view: SccSnapshot,
+    /// Members of every live component.
+    members: FxHashMap<u32, Vec<NodeId>>,
     /// Occupied topological positions (unique), for gap queries.
-    positions: BTreeSet<u64>,
+    occupied: BTreeSet<u64>,
+    /// Size of the component-id space: the next fresh id.
     next_label: u32,
     /// Set by [`IncrementalEngine::poison`] after a caught mid-merge
     /// panic: the graph holds a mutation the partition does not reflect,
@@ -156,18 +156,21 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         cfg: SccConfig,
         guard: &RunGuard,
     ) -> Result<IncrementalEngine<G>, SccError> {
+        let (result, _report) = run_pipeline(&graph, &pipeline, &cfg, guard)?;
+        guard.check()?;
+        let view = SccSnapshot::from_result(&graph, result);
         let mut engine = IncrementalEngine {
             graph,
             pipeline,
             cfg,
-            labels: Vec::new(),
-            comps: FxHashMap::default(),
-            positions: BTreeSet::new(),
+            view,
+            members: FxHashMap::default(),
+            occupied: BTreeSet::new(),
             next_label: 0,
             poisoned: false,
             counters: EngineCounters::default(),
         };
-        engine.rebuild_state(guard)?;
+        engine.index_view();
         Ok(engine)
     }
 
@@ -183,7 +186,7 @@ impl<G: CompactBackend> IncrementalEngine<G> {
 
     /// Number of components in the maintained partition.
     pub fn num_components(&self) -> usize {
-        self.comps.len()
+        self.members.len()
     }
 
     /// Marks the partition out of sync with the graph — called by the
@@ -224,6 +227,14 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         r
     }
 
+    fn label(&self, u: NodeId) -> u32 {
+        self.view.labels.get(u as usize)
+    }
+
+    fn pos(&self, c: u32) -> u64 {
+        self.view.positions.get(c as usize)
+    }
+
     fn insert_impl(
         &mut self,
         u: NodeId,
@@ -234,17 +245,16 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         if !self.graph.insert_edge(u, v) {
             return Ok(MutationOutcome::Noop);
         }
-        let cu = self.labels[u as usize];
-        let cv = self.labels[v as usize];
+        let cu = self.label(u);
+        let cv = self.label(v);
         if cu == cv {
             self.counters.in_order += 1;
             return Ok(MutationOutcome::InOrder);
         }
-        let pu = self.comps[&cu].pos;
-        let pv = self.comps[&cv].pos;
-        if pu < pv {
+        if self.pos(cu) < self.pos(cv) {
             // The current order already witnesses acyclicity of the new
-            // condensation edge — nothing to do.
+            // condensation edge — record the edge, nothing else.
+            self.view.condensation.insert_edge(cu, cv);
             self.counters.in_order += 1;
             return Ok(MutationOutcome::InOrder);
         }
@@ -276,22 +286,51 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         if !self.graph.delete_edge(u, v) {
             return Ok(MutationOutcome::Noop);
         }
-        let cu = self.labels[u as usize];
-        let cv = self.labels[v as usize];
+        let cu = self.label(u);
+        let cv = self.label(v);
         if cu != cv {
-            // Dropping a condensation edge can neither create a cycle
-            // nor invalidate the order.
+            // Dropping a graph edge between components can neither
+            // create a cycle nor invalidate the order; the condensation
+            // edge goes only with the last graph edge behind it.
+            if !self.connected(cu, cv) {
+                self.view.condensation.remove_edge(cu, cv);
+            }
             self.counters.in_order += 1;
             return Ok(MutationOutcome::InOrder);
         }
         self.repair_dirty(cu, guard)
     }
 
-    /// Folds the delta overlay into a fresh base backend (labels and
+    /// Whether some graph edge still runs from component `a` to `b`,
+    /// scanning the smaller component's adjacency (out-edges of `a` or
+    /// in-edges of `b`).
+    fn connected(&self, a: u32, b: u32) -> bool {
+        let (scan, dir, want) = if self.members[&a].len() <= self.members[&b].len() {
+            (a, Direction::Forward, b)
+        } else {
+            (b, Direction::Backward, a)
+        };
+        self.members[&scan].iter().any(|&m| {
+            self.graph
+                .find_neighbor(dir, m, |w| self.label(w) == want)
+                .is_some()
+        })
+    }
+
+    /// Folds the delta overlay into a fresh base backend, then the
+    /// condensation overlay into a fresh condensation base (labels and
     /// positions are adjacency-preserving, so the partition is
-    /// untouched). Returns the overlay entries folded away.
+    /// untouched). Returns the graph overlay entries folded away.
     pub fn compact(&mut self) -> usize {
-        self.graph.compact()
+        let folded = self.graph.compact();
+        self.view.condensation.fold();
+        folded
+    }
+
+    /// Overlay entries [`IncrementalEngine::compact`] would fold: the
+    /// larger of the graph delta overlay and the condensation overlay.
+    pub fn backlog(&self) -> usize {
+        self.graph.pending().max(self.view.condensation.pending())
     }
 
     /// Full recompute over the current graph — the admin `recompute`
@@ -301,12 +340,15 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         self.rebuild_state(guard)
     }
 
-    /// Exports the maintained partition as the batch-path snapshot type
-    /// (dense labels + condensation DAG over the current graph).
+    /// Publishes the maintained partition as the batch-path snapshot
+    /// type. O(N / [`PAGE`](crate::shared::PAGE)): the label and
+    /// position pages and the condensation are shared, not copied.
     pub fn snapshot(&self, guard: &RunGuard) -> Result<SccSnapshot, SccError> {
         guard.check()?;
-        let result = SccResult::from_assignment(self.labels.clone());
-        Ok(SccSnapshot::from_result(&self.graph, result))
+        let mut snapshot = self.view.clone();
+        snapshot.num_components = self.members.len();
+        snapshot.num_edges = self.graph.num_edges();
+        Ok(snapshot)
     }
 
     fn heal(&mut self, guard: &RunGuard) -> Result<(), SccError> {
@@ -323,39 +365,35 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         Ok(MutationOutcome::Rebuilt)
     }
 
-    /// Recomputes labels, members, and gapped topological positions from
-    /// scratch. Poison is set on entry and cleared only on success, so a
-    /// failed rebuild leaves the engine demanding another heal instead
-    /// of serving a half-written partition.
+    /// Recomputes labels, members, condensation and gapped topological
+    /// positions from scratch. Poison is set on entry and cleared only
+    /// on success, so a failed rebuild leaves the engine demanding
+    /// another heal instead of serving a half-written partition.
     fn rebuild_state(&mut self, guard: &RunGuard) -> Result<(), SccError> {
         self.poisoned = true;
         let (result, _report) = run_pipeline(&self.graph, &self.pipeline, &self.cfg, guard)?;
         guard.check()?;
-        let ranks = topo_ranks(&result.condensation_view(&self.graph));
-        self.labels = result.assignment().to_vec();
-        self.next_label = result.num_components() as u32;
-        self.comps.clear();
-        self.positions.clear();
-        for c in 0..result.num_components() as u32 {
-            let pos = (u64::from(ranks[c as usize]) + 1) * POS_GAP;
-            self.comps.insert(
-                c,
-                CompMeta {
-                    pos,
-                    members: Vec::new(),
-                },
-            );
-            self.positions.insert(pos);
-        }
-        for (n, &c) in self.labels.iter().enumerate() {
-            self.comps
-                .get_mut(&c)
-                .expect("dense labels")
-                .members
-                .push(n as NodeId);
-        }
+        self.view = SccSnapshot::from_result(&self.graph, result);
+        self.index_view();
         self.poisoned = false;
         Ok(())
+    }
+
+    /// Derives members, occupied positions and the id space from a
+    /// freshly built (dense) view.
+    fn index_view(&mut self) {
+        let view = &self.view;
+        self.next_label = view.num_components as u32;
+        self.members.clear();
+        self.occupied = (0..view.num_components)
+            .map(|c| view.positions.get(c))
+            .collect();
+        for n in 0..view.labels.len() {
+            self.members
+                .entry(view.labels.get(n))
+                .or_default()
+                .push(n as NodeId);
+        }
     }
 
     /// Component-granular reachability sweep restricted to the position
@@ -376,20 +414,17 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         let mut budget = 0usize;
         while let Some(c) = stack.pop() {
             guard.check()?;
-            let members = &self.comps[&c].members;
+            let members = &self.members[&c];
             budget += members.len();
             if budget > limit {
                 return Ok(None);
             }
             for &m in members {
                 self.graph.for_each_neighbor(dir, m, |w| {
-                    let cw = self.labels[w as usize];
-                    if !seen.contains(&cw) {
-                        let pw = self.comps[&cw].pos;
-                        if (lb..=ub).contains(&pw) {
-                            seen.insert(cw);
-                            stack.push(cw);
-                        }
+                    let cw = self.label(w);
+                    if !seen.contains(&cw) && (lb..=ub).contains(&self.pos(cw)) {
+                        seen.insert(cw);
+                        stack.push(cw);
                     }
                 });
             }
@@ -407,8 +442,8 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         cv: u32,
         guard: &RunGuard,
     ) -> Result<MutationOutcome, SccError> {
-        let lb = self.comps[&cv].pos;
-        let ub = self.comps[&cu].pos;
+        let lb = self.pos(cv);
+        let ub = self.pos(cu);
         let limit = self.cfg.incremental_residue_limit.max(1);
         let Some(rf) = self.window_search(cv, lb, ub, Direction::Forward, limit, guard)? else {
             return self.degrade(guard);
@@ -420,12 +455,19 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         let merge: Vec<u32> = rf.intersection(&rb).copied().collect();
         let mut b_side: Vec<u32> = rb.difference(&rf).copied().collect();
         let mut f_side: Vec<u32> = rf.difference(&rb).copied().collect();
-        b_side.sort_unstable_by_key(|c| self.comps[c].pos);
-        f_side.sort_unstable_by_key(|c| self.comps[c].pos);
-        let mut pool: Vec<u64> = rf.union(&rb).map(|c| self.comps[c].pos).collect();
+        b_side.sort_unstable_by_key(|&c| self.pos(c));
+        f_side.sort_unstable_by_key(|&c| self.pos(c));
+        let mut pool: Vec<u64> = rf.union(&rb).map(|&c| self.pos(c)).collect();
         pool.sort_unstable();
 
         let merged = merge.len();
+        // The largest merged component keeps its id, so the fewest
+        // labels (and label pages) change.
+        let rep = merge
+            .iter()
+            .copied()
+            .max_by_key(|c| (self.members[c].len(), *c))
+            .unwrap_or(cu);
         if merged > 0 {
             // recovery: commit point of the merge — discovery above is
             // read-only, every write happens below, so a kill here
@@ -433,21 +475,21 @@ impl<G: CompactBackend> IncrementalEngine<G> {
             // partition untouched; the serve layer poisons the engine
             // and heals by rebuild while the old epoch keeps serving.
             fault::point(fault::INCR_MERGE);
+            self.merge_condensation(&merge, rep);
             let mut absorbed: Vec<NodeId> = Vec::new();
             for &c in &merge {
-                if c == cu {
+                if c == rep {
                     continue;
                 }
-                let meta = self.comps.remove(&c).expect("merge set is live");
-                for &m in &meta.members {
-                    self.labels[m as usize] = cu;
+                let members = self.members.remove(&c).expect("merge set is live");
+                for &m in &members {
+                    self.view.labels.set(m as usize, rep);
                 }
-                absorbed.extend(meta.members);
+                absorbed.extend(members);
             }
-            self.comps
-                .get_mut(&cu)
+            self.members
+                .get_mut(&rep)
                 .expect("representative is live")
-                .members
                 .extend(absorbed);
         }
         // Reassign: B-side packs the bottom of the pool (never moves
@@ -455,14 +497,14 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         // component sits between them; leftover middle values retire
         // with the components they belonged to.
         for &p in &pool {
-            self.positions.remove(&p);
+            self.occupied.remove(&p);
         }
         let nf = f_side.len();
         for (i, &c) in b_side.iter().enumerate() {
             self.set_pos(c, pool[i]);
         }
         if merged > 0 {
-            self.set_pos(cu, pool[b_side.len()]);
+            self.set_pos(rep, pool[b_side.len()]);
         }
         for (i, &c) in f_side.iter().enumerate() {
             self.set_pos(c, pool[pool.len() - nf + i]);
@@ -471,14 +513,52 @@ impl<G: CompactBackend> IncrementalEngine<G> {
             self.counters.merges += 1;
             Ok(MutationOutcome::Merged { merged })
         } else {
+            self.view.condensation.insert_edge(cu, cv);
             self.counters.reorders += 1;
             Ok(MutationOutcome::Reordered)
         }
     }
 
+    /// Moves every condensation edge of the merge set onto `rep`, and
+    /// drops the edges inside the set. Costs the condensation degree of
+    /// the merged-away components — at most the adjacency the window
+    /// searches already walked — and touches only the overlay.
+    fn merge_condensation(&mut self, merge: &[u32], rep: u32) {
+        let in_merge: FxHashSet<u32> = merge.iter().copied().collect();
+        let cond = &mut self.view.condensation;
+        let (mut drop, mut add) = (Vec::new(), Vec::new());
+        for &c in merge.iter().filter(|&&c| c != rep) {
+            cond.for_each_successor_while(c, |w| {
+                drop.push((c, w));
+                if !in_merge.contains(&w) {
+                    add.push((rep, w));
+                }
+                true
+            });
+            cond.for_each_predecessor(c, |x| {
+                // Edges from another merged-away component were dropped
+                // as its successors.
+                if x == rep || !in_merge.contains(&x) {
+                    drop.push((x, c));
+                }
+                if !in_merge.contains(&x) {
+                    add.push((x, rep));
+                }
+            });
+        }
+        for (a, b) in drop {
+            cond.remove_edge(a, b);
+        }
+        for (a, b) in add {
+            cond.insert_edge(a, b);
+        }
+    }
+
     fn set_pos(&mut self, c: u32, pos: u64) {
-        self.comps.get_mut(&c).expect("component is live").pos = pos;
-        self.positions.insert(pos);
+        if self.pos(c) != pos {
+            self.view.positions.set(c as usize, pos);
+        }
+        self.occupied.insert(pos);
     }
 
     /// Intra-SCC delete: re-run the stock pipeline on the dirty
@@ -486,11 +566,11 @@ impl<G: CompactBackend> IncrementalEngine<G> {
     /// parts inside the gap the old component occupied.
     fn repair_dirty(&mut self, c: u32, guard: &RunGuard) -> Result<MutationOutcome, SccError> {
         let limit = self.cfg.incremental_residue_limit.max(1);
-        if self.comps[&c].members.len() > limit {
+        if self.members[&c].len() > limit {
             return self.degrade(guard);
         }
         self.counters.dirty_repairs += 1;
-        let members = self.comps[&c].members.clone();
+        let members = self.members[&c].clone();
         // Residue extraction stays O(|residue| + residue edges): a local
         // id map instead of an O(N) scatter array.
         let mut local: FxHashMap<NodeId, u32> = FxHashMap::default();
@@ -521,39 +601,79 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         let ranks = topo_ranks(&sub.condensation_view(&residue));
         let (lo, hi) = self.gap_for(c, parts as u64);
         let step = (hi - lo) / (parts as u64 + 1);
-        let meta = self.comps.remove(&c).expect("dirty component is live");
-        self.positions.remove(&meta.pos);
-        let mut part_label: Vec<u32> = Vec::with_capacity(parts);
-        for r in 0..parts as u32 {
-            // Reuse the old label for the topologically-first part; the
-            // rest get fresh labels.
-            let label = if r == 0 {
-                c
-            } else {
-                self.next_label += 1;
-                self.next_label
-            };
-            part_label.push(label);
-            let pos = lo + step * (u64::from(r) + 1);
-            self.comps.insert(
-                label,
-                CompMeta {
-                    pos,
-                    members: Vec::new(),
-                },
-            );
-            self.positions.insert(pos);
+        self.occupied.remove(&self.pos(c));
+        self.members.remove(&c);
+        // The largest part keeps the old id, so the fewest labels (and
+        // label pages) change; the rest get fresh ids at the end of the
+        // id space, in rank order.
+        let mut sizes = vec![0usize; parts];
+        for i in 0..members.len() {
+            sizes[ranks[sub.component(i as NodeId) as usize] as usize] += 1;
         }
-        for (i, &m) in meta.members.iter().enumerate() {
+        let keep = (0..parts).max_by_key(|&r| sizes[r]).expect("parts > 1");
+        let mut fresh = self.next_label..;
+        let part_label: Vec<u32> = (0..parts)
+            .map(|r| {
+                if r == keep {
+                    c
+                } else {
+                    fresh.next().expect("open range")
+                }
+            })
+            .collect();
+        self.next_label += parts as u32 - 1;
+        self.view.positions.grow(self.next_label as usize);
+        for (r, &label) in part_label.iter().enumerate() {
+            self.set_pos(label, lo + step * (r as u64 + 1));
+            self.members.insert(label, Vec::new());
+        }
+        for (i, &m) in members.iter().enumerate() {
             let label = part_label[ranks[sub.component(i as NodeId) as usize] as usize];
-            self.labels[m as usize] = label;
-            self.comps
-                .get_mut(&label)
-                .expect("just inserted")
-                .members
-                .push(m);
+            if label != c {
+                self.view.labels.set(m as usize, label);
+            }
+            self.members.get_mut(&label).expect("just inserted").push(m);
         }
+        self.split_condensation(c, &members, &local);
         Ok(MutationOutcome::Repaired { parts })
+    }
+
+    /// Replaces the condensation edges of the split component `c` with
+    /// those of its parts, read off the members' adjacency (members
+    /// already carry their part labels; `local` holds every member).
+    /// Costs c's condensation degree plus the members' degrees, and
+    /// touches only the overlay.
+    fn split_condensation(&mut self, c: u32, members: &[NodeId], local: &FxHashMap<NodeId, u32>) {
+        let (mut drop, mut add) = (Vec::new(), Vec::new());
+        let cond = &self.view.condensation;
+        cond.for_each_successor_while(c, |w| {
+            drop.push((c, w));
+            true
+        });
+        cond.for_each_predecessor(c, |x| drop.push((x, c)));
+        for &m in members {
+            let lm = self.label(m);
+            self.graph.for_each_neighbor(Direction::Forward, m, |w| {
+                let lw = self.label(w);
+                if lw != lm {
+                    add.push((lm, lw));
+                }
+            });
+            // In-edges from other parts are some member's out-edges.
+            self.graph.for_each_neighbor(Direction::Backward, m, |w| {
+                if !local.contains_key(&w) {
+                    add.push((self.label(w), lm));
+                }
+            });
+        }
+        let cond = &mut self.view.condensation;
+        cond.grow_ids(self.next_label as usize);
+        for (a, b) in drop {
+            cond.remove_edge(a, b);
+        }
+        for (a, b) in add {
+            cond.insert_edge(a, b);
+        }
     }
 
     /// Open interval around component `c`'s position, between its
@@ -561,27 +681,21 @@ impl<G: CompactBackend> IncrementalEngine<G> {
     /// values strictly inside (`hi - lo > need` leaves an integer step
     /// ≥ 1) — globally renumbering first if the local gap has run dry.
     fn gap_for(&mut self, c: u32, need: u64) -> (u64, u64) {
-        let pos = self.comps[&c].pos;
-        let (lo, hi) = self.neighbors_of(pos);
+        let (lo, hi) = self.neighbors_of(self.pos(c));
         if hi - lo > need {
             return (lo, hi);
         }
         // Local gap exhausted by earlier splits: restore POS_GAP spacing
         // everywhere (need ≤ residue limit ≪ POS_GAP) and re-read.
         self.renumber();
-        self.neighbors_of(self.comps[&c].pos)
+        self.neighbors_of(self.pos(c))
     }
 
     /// Nearest occupied positions strictly below and above `pos`.
     fn neighbors_of(&self, pos: u64) -> (u64, u64) {
-        let lo = self
-            .positions
-            .range(..pos)
-            .next_back()
-            .copied()
-            .unwrap_or(0);
+        let lo = self.occupied.range(..pos).next_back().copied().unwrap_or(0);
         let hi = self
-            .positions
+            .occupied
             .range(pos + 1..)
             .next()
             .copied()
@@ -592,38 +706,13 @@ impl<G: CompactBackend> IncrementalEngine<G> {
     /// Global renumbering: every component's position becomes
     /// `rank * POS_GAP` in the current order, restoring full gaps.
     fn renumber(&mut self) {
-        let mut order: Vec<(u64, u32)> = self.comps.iter().map(|(&c, m)| (m.pos, c)).collect();
+        let mut order: Vec<(u64, u32)> = self.members.keys().map(|&c| (self.pos(c), c)).collect();
         order.sort_unstable();
-        self.positions.clear();
+        self.occupied.clear();
         for (rank, (_, c)) in order.into_iter().enumerate() {
-            let pos = (rank as u64 + 1) * POS_GAP;
-            self.comps.get_mut(&c).expect("live").pos = pos;
-            self.positions.insert(pos);
+            self.set_pos(c, (rank as u64 + 1) * POS_GAP);
         }
     }
-}
-
-/// Kahn topological ranks over a condensation DAG: `ranks[c]` is the
-/// position of component `c` in one valid topological order.
-fn topo_ranks(cond: &CsrGraph) -> Vec<u32> {
-    let n = cond.num_nodes();
-    let mut indeg: Vec<u32> = (0..n).map(|c| cond.in_degree(c as NodeId) as u32).collect();
-    let mut queue: std::collections::VecDeque<u32> =
-        (0..n as u32).filter(|&c| indeg[c as usize] == 0).collect();
-    let mut ranks = vec![0u32; n];
-    let mut next = 0u32;
-    while let Some(c) = queue.pop_front() {
-        ranks[c as usize] = next;
-        next += 1;
-        cond.for_each_neighbor(Direction::Forward, c, |d| {
-            indeg[d as usize] -= 1;
-            if indeg[d as usize] == 0 {
-                queue.push_back(d);
-            }
-        });
-    }
-    debug_assert_eq!(next as usize, n, "condensation must be acyclic");
-    ranks
 }
 
 #[cfg(test)]
@@ -653,27 +742,47 @@ mod tests {
     }
 
     /// The ground truth the engine must track: Tarjan over the
-    /// materialized current graph, compared through canonical labels.
+    /// materialized current graph, compared through canonical labels,
+    /// and the maintained condensation compared with a from-scratch one.
     fn assert_matches_oracle<G: CompactBackend>(engine: &IncrementalEngine<G>) {
         let materialized = engine.graph().materialize_csr();
         let oracle = tarjan_scc(&materialized);
-        let maintained = SccResult::from_assignment(engine.labels.clone());
+        let snap = engine.snapshot(&RunGuard::new()).expect("snapshot");
+        let canonical = snap.canonical_labels();
         assert_eq!(
-            maintained.canonical_labels(),
+            canonical,
             oracle.canonical_labels(),
             "maintained partition diverged from Tarjan"
         );
+        assert_eq!(snap.num_components(), oracle.num_components());
         // The maintained positions must be a topological order of the
         // maintained condensation.
         for (u, v) in materialized.edges() {
-            let (cu, cv) = (engine.labels[u as usize], engine.labels[v as usize]);
+            let (cu, cv) = (engine.label(u), engine.label(v));
             if cu != cv {
                 assert!(
-                    engine.comps[&cu].pos < engine.comps[&cv].pos,
+                    engine.pos(cu) < engine.pos(cv),
                     "edge {u}->{v} violates the maintained topological order"
                 );
             }
         }
+        // Same condensation edges as a batch build, under canonical ids.
+        let fresh = SccSnapshot::from_result(&materialized, oracle);
+        let canon = |s: &SccSnapshot| {
+            let mut rep = vec![u32::MAX; s.positions().len()];
+            for (n, &c) in s.labels().to_vec().iter().enumerate() {
+                rep[c as usize] = canonical[n];
+            }
+            let mut e: Vec<_> = s
+                .condensation()
+                .edges()
+                .into_iter()
+                .map(|(a, b)| (rep[a as usize], rep[b as usize]))
+                .collect();
+            e.sort_unstable();
+            e
+        };
+        assert_eq!(canon(&snap), canon(&fresh), "condensation diverged");
     }
 
     #[test]
@@ -812,7 +921,7 @@ mod tests {
         use swscc_sync::fault::{arm, FaultKind, FaultPlan};
         let guard = RunGuard::new();
         let mut e = engine(4, &[(0, 1), (1, 2), (2, 3)]);
-        let before: Vec<u32> = e.labels.clone();
+        let before: Vec<u32> = e.view.labels.to_vec();
         {
             let _g = arm(FaultPlan {
                 site: Some(fault::INCR_MERGE),
@@ -827,7 +936,11 @@ mod tests {
             }));
             assert!(r.is_err(), "planned fault must fire");
         }
-        assert_eq!(e.labels, before, "partition untouched by the kill");
+        assert_eq!(
+            e.view.labels.to_vec(),
+            before,
+            "partition untouched by the kill"
+        );
         // The graph holds the edge the partition does not reflect — the
         // serve layer would poison; emulate it and heal.
         e.poison();

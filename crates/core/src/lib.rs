@@ -60,6 +60,7 @@ pub mod multistep;
 pub mod pearce;
 pub mod pipeline;
 pub mod result;
+pub mod shared;
 pub mod snapshot;
 pub mod state;
 pub mod tarjan;

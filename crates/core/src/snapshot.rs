@@ -1,38 +1,72 @@
 //! Epoch-snapshot payload of the always-on service: one immutable
-//! partition plus its condensation DAG, with the query surface the
-//! `swscc-serve` daemon answers from.
+//! partition plus its condensation DAG and topological positions, with
+//! the query surface the `swscc-serve` daemon answers from.
 //!
-//! A snapshot is built once per (re)compute — [`SccSnapshot::build`]
-//! runs a pipeline under the caller's [`RunGuard`], then materializes
-//! the condensation — and is then shared read-only behind an
-//! `swscc_sync::epoch::EpochCell`. Nothing in here mutates after
+//! A snapshot comes from one of two places, and both build the same
+//! type. The batch path — [`SccSnapshot::build`] and
+//! [`SccSnapshot::from_result`] — runs or takes a partition and builds
+//! everything from scratch. The write path —
+//! [`crate::IncrementalEngine::snapshot`] — publishes the engine's own
+//! maintained state, sharing it with the previous epoch (see
+//! [`crate::shared`]). Nothing in a snapshot mutates after
 //! construction, so any number of connection handlers can answer
-//! queries from one snapshot while a recompute builds the next.
+//! queries from one snapshot while the engine prepares the next.
 //!
-//! Query cost model: [`SccSnapshot::scc_id`] and
-//! [`SccSnapshot::same_scc`] are O(1) array reads;
-//! [`SccSnapshot::condensation_reach`] is a BFS over the condensation
-//! DAG (small-world condensations are tiny — the giant SCC collapses to
-//! one node) that polls its guard every level, so a per-request deadline
-//! interrupts it mid-walk with a typed [`SccError::DeadlineExceeded`].
+//! # Cost model
+//!
+//! * **Writes.** A write costs O(change). It copies only the
+//!   [`PAGE`](crate::shared::PAGE)-entry label and position pages whose
+//!   entries it changes, and records condensation edges in a small
+//!   overlay: in-order inserts, reorders, cross-component deletes and
+//!   no-ops copy no label page and keep the condensation base. A merge
+//!   or a split also moves the condensation edges of the components it
+//!   changes through the overlay, which costs their condensation degree
+//!   and the split members' adjacency — no more than the engine's own
+//!   repair walked. Only a full rebuild builds a fresh base, in
+//!   O(N + M); compaction folds the overlay into one, in O(C + E_c).
+//!   Publishing clones the page tables, O(N / PAGE) reference counts.
+//! * **Point queries.** [`SccSnapshot::scc_id`] and
+//!   [`SccSnapshot::same_scc`] read one label page each, O(1).
+//! * **Reach.** [`SccSnapshot::condensation_reach`] first compares the
+//!   two components' topological positions: a source placed at or after
+//!   the target cannot reach it, answered in O(1). Otherwise a BFS over
+//!   the condensation skips every component placed at or after the
+//!   target, and marks visits in a per-thread stamp array that is reused
+//!   across queries, so a query allocates nothing once its thread has
+//!   answered one query on a graph this size. The price is memory that
+//!   stays with the thread: 8 bytes per component id (a stamp and a
+//!   queue slot), against a transient byte per id for a fresh visited
+//!   array. The BFS polls its guard
+//!   every level, so a per-request deadline interrupts it mid-walk with
+//!   a typed [`SccError::DeadlineExceeded`].
+//!
+//! Component ids are stable between epochs where the partition did not
+//! change, but need not be dense: ids of merged-away components stay
+//! unused until the next full rebuild. [`SccSnapshot::num_components`]
+//! counts live components.
 
 use crate::config::SccConfig;
 use crate::error::{RunGuard, SccError};
 use crate::instrument::RunReport;
 use crate::pipeline::{run_pipeline, Pipeline};
 use crate::result::SccResult;
-use swscc_graph::bfs::Direction;
-use swscc_graph::{CsrGraph, GraphView, NodeId};
+use crate::shared::{topo_ranks, Condensation, PagedVec, POS_GAP};
+use std::cell::RefCell;
+use swscc_graph::{GraphView, NodeId};
 
-/// An immutable SCC partition + condensation DAG over one input graph,
-/// ready to answer point queries. See the module docs for the role it
-/// plays in the serve epoch cycle.
+/// An immutable SCC partition + condensation DAG + topological
+/// positions over one input graph, ready to answer point queries. See
+/// the module docs for the role it plays in the serve epoch cycle.
 #[derive(Clone, Debug)]
 pub struct SccSnapshot {
-    result: SccResult,
-    condensation: CsrGraph,
-    num_nodes: usize,
-    num_edges: usize,
+    /// Node -> component id.
+    pub(crate) labels: PagedVec<u32>,
+    /// Component id -> topological position: every condensation edge
+    /// goes from a lower to a higher position.
+    pub(crate) positions: PagedVec<u64>,
+    pub(crate) condensation: Condensation,
+    pub(crate) num_components: usize,
+    pub(crate) num_edges: usize,
 }
 
 impl SccSnapshot {
@@ -50,42 +84,56 @@ impl SccSnapshot {
         // deadline that expired during the partition run before paying
         // that second pass.
         guard.check()?;
-        let condensation = result.condensation_view(g);
-        Ok((
-            SccSnapshot {
-                condensation,
-                num_nodes: g.num_nodes(),
-                num_edges: g.num_edges(),
-                result,
-            },
-            report,
-        ))
+        Ok((SccSnapshot::from_result(g, result), report))
     }
 
-    /// Wraps an already-computed partition (tests, offline tooling).
+    /// Wraps an already-computed partition: builds the condensation and
+    /// ranks it topologically (O(N + M)).
     pub fn from_result<G: GraphView>(g: &G, result: SccResult) -> SccSnapshot {
+        let base = result.condensation_view(g);
+        let positions: Vec<u64> = topo_ranks(&base)
+            .into_iter()
+            .map(|rank| (u64::from(rank) + 1) * POS_GAP)
+            .collect();
         SccSnapshot {
-            condensation: result.condensation_view(g),
-            num_nodes: g.num_nodes(),
+            labels: PagedVec::from_slice(result.assignment()),
+            positions: PagedVec::from_slice(&positions),
+            condensation: Condensation::from_base(base),
+            num_components: result.num_components(),
             num_edges: g.num_edges(),
-            result,
         }
     }
 
-    /// The partition.
-    pub fn result(&self) -> &SccResult {
-        &self.result
+    /// Node -> component id, in shared pages.
+    pub fn labels(&self) -> &PagedVec<u32> {
+        &self.labels
     }
 
-    /// The condensation DAG (one node per SCC, inter-SCC edges
-    /// deduplicated).
-    pub fn condensation(&self) -> &CsrGraph {
+    /// Component id -> topological position.
+    pub fn positions(&self) -> &PagedVec<u64> {
+        &self.positions
+    }
+
+    /// The condensation DAG over component ids.
+    pub fn condensation(&self) -> &Condensation {
         &self.condensation
+    }
+
+    /// The partition as canonical labels — every node labelled with the
+    /// smallest node of its component — comparable with
+    /// [`SccResult::canonical_labels`].
+    pub fn canonical_labels(&self) -> Vec<u32> {
+        let labels = self.labels.to_vec();
+        let mut min_member = vec![u32::MAX; self.positions.len()];
+        for (n, &c) in labels.iter().enumerate() {
+            min_member[c as usize] = min_member[c as usize].min(n as u32);
+        }
+        labels.iter().map(|&c| min_member[c as usize]).collect()
     }
 
     /// Node count of the underlying graph.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.labels.len()
     }
 
     /// Directed edge count of the underlying graph.
@@ -95,18 +143,14 @@ impl SccSnapshot {
 
     /// Number of SCCs.
     pub fn num_components(&self) -> usize {
-        self.result.num_components()
+        self.num_components
     }
 
     /// Component id of `u`, or `None` if `u` is out of range — the
     /// serve layer turns that into a typed out-of-range reply instead of
     /// an indexing panic on untrusted input.
     pub fn scc_id(&self, u: NodeId) -> Option<u32> {
-        if (u as usize) < self.num_nodes {
-            Some(self.result.component(u))
-        } else {
-            None
-        }
+        ((u as usize) < self.labels.len()).then(|| self.labels.get(u as usize))
     }
 
     /// Whether `u` and `v` are in the same SCC; `None` if either is out
@@ -117,9 +161,10 @@ impl SccSnapshot {
 
     /// Whether `v` is reachable from `u` in the input graph — answered
     /// on the condensation (u reaches v iff scc(u) reaches scc(v) in the
-    /// DAG). `Ok(None)` if either endpoint is out of range. Polls
-    /// `guard` once per BFS level, so a request deadline lands as
-    /// [`SccError::DeadlineExceeded`] rather than a stuck handler.
+    /// DAG), pruned by topological position. `Ok(None)` if either
+    /// endpoint is out of range. Polls `guard` once per BFS level, so a
+    /// request deadline lands as [`SccError::DeadlineExceeded`] rather
+    /// than a stuck handler.
     pub fn condensation_reach(
         &self,
         u: NodeId,
@@ -132,34 +177,84 @@ impl SccSnapshot {
         if from == to {
             return Ok(Some(true));
         }
-        let dag = &self.condensation;
-        let mut seen = vec![false; dag.num_nodes()];
-        let mut frontier = vec![from];
-        seen[from as usize] = true;
-        while !frontier.is_empty() {
-            guard.check()?;
-            let mut next = Vec::new();
-            let mut hit = false;
-            for &c in &frontier {
-                GraphView::for_each_neighbor_while(dag, Direction::Forward, c, |w| {
-                    if w == to {
-                        hit = true;
-                        return false;
+        let target = self.positions.get(to as usize);
+        if self.positions.get(from as usize) >= target {
+            return Ok(Some(false));
+        }
+        REACH_SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            let ReachScratch {
+                stamps,
+                current,
+                queue,
+            } = &mut *scratch;
+            // Each component enters the queue at most once per query, so
+            // arrays sized to the id space never grow mid-search.
+            let ids = self.positions.len();
+            if stamps.len() < ids {
+                stamps.resize(ids, 0);
+            }
+            queue.clear();
+            queue.reserve(ids);
+            // Stamp-versioned visited marks: bumping `current` clears
+            // every mark at once; a wrap clears the array for real.
+            *current = current.wrapping_add(1);
+            if *current == 0 {
+                stamps.fill(0);
+                *current = 1;
+            }
+            let stamp = *current;
+            stamps[from as usize] = stamp;
+            queue.push(from);
+            let mut head = 0;
+            while head < queue.len() {
+                guard.check()?;
+                let level_end = queue.len();
+                while head < level_end {
+                    let c = queue[head];
+                    head += 1;
+                    let mut hit = false;
+                    self.condensation.for_each_successor_while(c, |w| {
+                        if w == to {
+                            hit = true;
+                            return false;
+                        }
+                        // A component placed at or after the target
+                        // cannot reach it.
+                        if stamps[w as usize] != stamp && self.positions.get(w as usize) < target {
+                            stamps[w as usize] = stamp;
+                            queue.push(w);
+                        }
+                        true
+                    });
+                    if hit {
+                        return Ok(Some(true));
                     }
-                    if !seen[w as usize] {
-                        seen[w as usize] = true;
-                        next.push(w);
-                    }
-                    true
-                });
-                if hit {
-                    return Ok(Some(true));
                 }
             }
-            frontier = next;
-        }
-        Ok(Some(false))
+            Ok(Some(false))
+        })
     }
+}
+
+/// Per-thread reach search state, kept between queries so a query
+/// allocates nothing once the arrays fit the id space.
+struct ReachScratch {
+    /// `stamps[c] == current` marks component `c` visited.
+    stamps: Vec<u32>,
+    current: u32,
+    /// BFS queue; one level is a contiguous run of it.
+    queue: Vec<u32>,
+}
+
+thread_local! {
+    static REACH_SCRATCH: RefCell<ReachScratch> = const {
+        RefCell::new(ReachScratch {
+            stamps: Vec::new(),
+            current: 0,
+            queue: Vec::new(),
+        })
+    };
 }
 
 #[cfg(test)]
@@ -167,6 +262,7 @@ mod tests {
     use super::*;
     use crate::Algorithm;
     use std::time::Duration;
+    use swscc_graph::CsrGraph;
 
     /// Two 3-cycles joined by one edge, an OUT tendril, an isolated node.
     fn diamond() -> CsrGraph {
@@ -225,6 +321,24 @@ mod tests {
     }
 
     #[test]
+    fn reach_prunes_by_position() {
+        let g = diamond();
+        let snap = snapshot(&g);
+        let guard = RunGuard::new();
+        let pos = |u: NodeId| snap.positions().get(snap.scc_id(u).unwrap() as usize);
+        // Every condensation edge goes forward in position.
+        for (a, b) in snap.condensation().edges() {
+            assert!(snap.positions().get(a as usize) < snap.positions().get(b as usize));
+        }
+        // A source placed after its target answers without a search —
+        // even under an expired deadline, which any search would trip.
+        assert!(pos(6) > pos(0));
+        let expired = RunGuard::with_deadline(Duration::ZERO);
+        assert_eq!(snap.condensation_reach(6, 0, &expired), Ok(Some(false)));
+        assert_eq!(snap.condensation_reach(6, 0, &guard), Ok(Some(false)));
+    }
+
+    #[test]
     fn reach_honours_an_expired_deadline() {
         let g = diamond();
         let snap = snapshot(&g);
@@ -244,13 +358,7 @@ mod tests {
         let guard = RunGuard::new();
         let (zs, _) =
             SccSnapshot::build(&z, &pipeline, &SccConfig::with_threads(2), &guard).unwrap();
-        assert_eq!(
-            raw.result().canonical_labels(),
-            zs.result().canonical_labels()
-        );
-        assert_eq!(
-            raw.condensation().num_nodes(),
-            zs.condensation().num_nodes()
-        );
+        assert_eq!(raw.canonical_labels(), zs.canonical_labels());
+        assert_eq!(raw.condensation().edges(), zs.condensation().edges());
     }
 }

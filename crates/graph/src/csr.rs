@@ -481,38 +481,74 @@ fn build_adjacency(
         *c += 1;
     }
     // Sort each adjacency list for determinism and binary-searchability.
-    // Lists are typically short (scale-free: most nodes have few neighbors),
-    // so per-list sort is cheap; do it in parallel for the heavy hubs.
-    let slices: Vec<(usize, usize)> = (0..num_nodes)
-        .map(|i| (offsets[i], offsets[i + 1]))
-        .collect();
-    // Safety note: the ranges are disjoint by construction, so a parallel
-    // mutable chunk iteration is expressible safely via split_at_mut-style
-    // recursion; simplest is to sort via par_chunks over an index structure.
-    parallel_sort_ranges(&mut targets, &slices);
+    sort_lists(&mut targets, &offsets);
     (offsets, targets)
 }
 
-/// Sorts each `[start, end)` range of `data` in parallel. Ranges must be
-/// disjoint and ascending (guaranteed by CSR construction).
-fn parallel_sort_ranges(data: &mut [NodeId], ranges: &[(usize, usize)]) {
-    fn go(mut data: &mut [NodeId], base: usize, ranges: &[(usize, usize)]) {
-        const SEQ_CUTOFF: usize = 64;
-        if ranges.len() <= SEQ_CUTOFF {
-            for &(s, e) in ranges {
-                data[s - base..e - base].sort_unstable();
-            }
-            return;
+/// Below this many targets one thread sorts every list: a worker start
+/// costs tens of microseconds, more than sorting this many short lists.
+const SEQ_SORT_CUTOFF: usize = 1 << 14;
+
+/// Sorts every adjacency list `targets[offsets[i]..offsets[i + 1]]` in
+/// one parallel section: the lists are cut into at most
+/// `rayon::current_num_threads()` contiguous groups of about equal
+/// target count, and each group is sorted by one worker. A list is
+/// never split, so a hub holding most of the edges makes its group the
+/// long pole; the section still starts at most one worker per thread.
+fn sort_lists(targets: &mut [NodeId], offsets: &[usize]) {
+    let sort_group = |data: &mut [NodeId], lists: &[usize]| {
+        let base = lists[0];
+        for w in lists.windows(2) {
+            data[w[0] - base..w[1] - base].sort_unstable();
         }
-        let mid = ranges.len() / 2;
-        let (left, right) = ranges.split_at(mid);
-        let split_point = right[0].0;
-        let (dl, dr) = std::mem::take(&mut data).split_at_mut(split_point - base);
-        rayon::join(|| go(dl, base, left), || go(dr, split_point, right));
+    };
+    let total = targets.len();
+    // Size first: asking for the thread count can cost a cgroup read.
+    let groups = if total < 2 * SEQ_SORT_CUTOFF {
+        1
+    } else {
+        rayon::current_num_threads().min(total / SEQ_SORT_CUTOFF)
+    };
+    // Group g owns lists [cuts[g], cuts[g + 1]): the first list starting
+    // at or after its share of the targets.
+    let mut cuts = Vec::with_capacity(groups + 1);
+    cuts.push(0);
+    for g in 1..groups {
+        let share = total * g / groups;
+        let cut = offsets
+            .partition_point(|&o| o < share)
+            .min(offsets.len() - 1);
+        cuts.push(cut.max(cuts[g - 1]));
     }
-    if !ranges.is_empty() {
-        go(data, 0, ranges);
+    cuts.push(offsets.len() - 1);
+    // A hub list longer than one share leaves empty groups behind it.
+    cuts.dedup();
+    if cuts.len() <= 2 {
+        // One group: sort on this thread.
+        sort_group(targets, offsets);
+        return;
     }
+    let mut parts = Vec::with_capacity(cuts.len() - 1);
+    let mut rest = targets;
+    for w in cuts.windows(2) {
+        let (head, tail) = rest.split_at_mut(offsets[w[1]] - offsets[w[0]]);
+        parts.push((head, &offsets[w[0]..=w[1]]));
+        rest = tail;
+    }
+    swscc_sync::thread::scope(|s| {
+        let mut parts = parts.into_iter();
+        let (data0, lists0) = parts.next().expect("groups >= 2");
+        let handles: Vec<_> = parts
+            .map(|(data, lists)| s.spawn(move || sort_group(data, lists)))
+            .collect();
+        sort_group(data0, lists0);
+        // Group 0 ran inline, so spawned handles cover groups 1...
+        for (i, h) in handles.into_iter().enumerate() {
+            if let Err(payload) = h.join() {
+                swscc_parallel::pool::propagate_worker_panic("adjacency sort", i + 1, payload);
+            }
+        }
+    });
 }
 
 #[cfg(test)]
@@ -630,6 +666,92 @@ mod tests {
         let nb = g.out_neighbors(0);
         assert!(nb.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(g.in_degree(1), 1);
+    }
+
+    /// Every list sorted, and every field equal at widths 1, 2 and 4:
+    /// the grouped sort must not depend on where the group cuts fall.
+    fn assert_width_independent(n: usize, edges: &[(NodeId, NodeId)]) {
+        use crate::builder::GraphBuilder;
+        use swscc_parallel::pool::with_pool;
+        let fields = |g: &CsrGraph| {
+            (
+                g.out_offsets.clone(),
+                g.out_targets.clone(),
+                g.in_offsets.clone(),
+                g.in_targets.clone(),
+            )
+        };
+        let build = |w: usize| {
+            with_pool(w, || {
+                let mut b = GraphBuilder::new(n);
+                b.extend(edges.iter().copied());
+                (CsrGraph::from_edges(n, edges), b.build())
+            })
+        };
+        let (raw1, built1) = build(1);
+        raw1.validate().expect("from_edges validates");
+        built1.validate().expect("builder output validates");
+        for w in [2, 4] {
+            let (raw, built) = build(w);
+            assert!(
+                fields(&raw) == fields(&raw1),
+                "from_edges differs at width {w}"
+            );
+            assert!(
+                fields(&built) == fields(&built1),
+                "build differs at width {w}"
+            );
+        }
+    }
+
+    fn splitmix64(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn grouped_sort_is_width_independent_on_random_graphs() {
+        let mut s = 0x0C5A_5087;
+        for (n, m) in [(3_000u64, 70_000usize), (20_000, 90_000), (50, 40_000)] {
+            let edges: Vec<_> = (0..m)
+                .map(|_| {
+                    let u = (splitmix64(&mut s) % n) as NodeId;
+                    (u, (splitmix64(&mut s) % n) as NodeId)
+                })
+                .collect();
+            assert_width_independent(n as usize, &edges);
+        }
+    }
+
+    #[test]
+    fn grouped_sort_handles_a_hub_holding_most_edges() {
+        // Node 7's list holds 90% of the edges, so it swallows several
+        // group shares: the cuts around it collapse into one group.
+        let n = 10_000u32;
+        let mut s = 0x0B0B;
+        let mut edges: Vec<_> = (0..90_000u32).map(|i| (7, (i * 7919) % n)).collect();
+        edges.extend((0..10_000).map(|_| {
+            let u = (splitmix64(&mut s) % u64::from(n)) as NodeId;
+            (u, (splitmix64(&mut s) % u64::from(n)) as NodeId)
+        }));
+        assert_width_independent(n as usize, &edges);
+    }
+
+    #[test]
+    fn grouped_sort_handles_empty_lists_at_group_boundaries() {
+        // Runs of 100 nodes alternate empty / 96 edges each, starting and
+        // ending empty: 76_800 targets, so every quarter (19_200 targets,
+        // two full runs) ends just before a run of empty lists.
+        let n = 1_700u32;
+        let edges: Vec<_> = (0..n)
+            .filter(|u| (u / 100) % 2 == 1)
+            .flat_map(|u| (0..96u32).map(move |k| (u, (u * 31 + k * 17) % n)))
+            .collect();
+        assert_eq!(edges.len(), 76_800);
+        assert_width_independent(n as usize, &edges);
     }
 
     #[test]

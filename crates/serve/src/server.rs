@@ -98,6 +98,10 @@ impl EngineKind {
         with_engine!(self, e => e.graph().pending())
     }
 
+    fn backlog(&self) -> usize {
+        with_engine!(self, e => e.backlog())
+    }
+
     fn num_components(&self) -> usize {
         with_engine!(self, e => e.num_components())
     }
@@ -123,9 +127,10 @@ pub struct ServeConfig {
     /// Backoff hint carried in `Overloaded` replies.
     pub retry_after_ms: u32,
     /// Auto-compaction threshold: after a mutation leaves at least this
-    /// many deltas pending in the overlay, the write folds them into a
-    /// fresh base before publishing. `0` disables auto-compaction (the
-    /// `compact` admin verb still works).
+    /// many entries pending in the graph's delta overlay or the
+    /// condensation overlay, the write folds both into fresh bases
+    /// before publishing. `0` disables auto-compaction (the `compact`
+    /// admin verb still works).
     pub compact_threshold: usize,
 }
 
@@ -435,7 +440,7 @@ impl Server {
                 }
             }
             let mut compacted = false;
-            if compact_threshold > 0 && engine.pending() >= compact_threshold {
+            if compact_threshold > 0 && engine.backlog() >= compact_threshold {
                 engine.compact();
                 compacted = true;
             }

@@ -518,6 +518,20 @@ fn check_oracle_pairs(
     Ok(())
 }
 
+/// Every node's `scc-id` in the serving epoch, in node order.
+fn served_ids(
+    c: &mut Client,
+    num_nodes: usize,
+    describe: &dyn Fn() -> String,
+) -> Result<Vec<u32>, String> {
+    (0..num_nodes as u32)
+        .map(|u| match c.scc_id(u, 0) {
+            Ok(Response::Id(id)) => Ok(id),
+            other => Err(format!("{}: scc_id({u}) gave {other:?}", describe())),
+        })
+        .collect()
+}
+
 /// Tarjan oracle over the base graph plus `extra` edges — the ground
 /// truth a healed incremental engine must serve after a mutation.
 fn mutated_oracle(g: &CsrGraph, extra: &[(u32, u32)]) -> Vec<u32> {
@@ -691,6 +705,7 @@ fn run_serve_schedule(
                     check_oracle_pairs(&mut c, oracle, seed ^ 7, &describe)?;
                     return Ok(());
                 };
+                let before = served_ids(&mut c, g.num_nodes(), &describe)?;
                 match c.insert_edge(ev, eu, 0) {
                     Ok(Response::MutateFailed { message })
                         if message.contains("injected fault") => {}
@@ -698,6 +713,12 @@ fn run_serve_schedule(
                 }
                 if server.epoch() != 0 {
                     return Err(format!("{}: killed merge advanced the epoch", describe()));
+                }
+                // The serving epoch shares its label pages with the
+                // engine: an id that moved means a shared page was
+                // written in place.
+                if served_ids(&mut c, g.num_nodes(), &describe)? != before {
+                    return Err(format!("{}: killed merge changed served ids", describe()));
                 }
                 // Old epoch serving: pre-mutation answers, failure counted.
                 check_oracle_pairs(&mut c, oracle, seed ^ 8, &describe)?;
@@ -737,10 +758,14 @@ fn run_serve_schedule(
                     .stats()
                     .map_err(|e| format!("{}: stats failed: {e}", describe()))?
                     .pending_deltas;
+                let before = served_ids(&mut c, g.num_nodes(), &describe)?;
                 match c.compact() {
                     Ok(Response::MutateFailed { message })
                         if message.contains("injected fault") => {}
                     other => return Err(format!("{}: killed compact gave {other:?}", describe())),
+                }
+                if served_ids(&mut c, g.num_nodes(), &describe)? != before {
+                    return Err(format!("{}: killed compact changed served ids", describe()));
                 }
                 // Only the rebuilt backend was lost: base + overlay keep
                 // answering, and the retried compact folds the staged

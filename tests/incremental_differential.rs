@@ -1,9 +1,12 @@
 //! Differential battery for the incremental SCC maintenance engine.
 //!
-//! The maintained partition must be *observationally identical* to a
-//! from-scratch run at every batch boundary: after each applied batch
+//! The published snapshot must be *observationally identical* to a
+//! from-scratch build at every batch boundary: after each applied batch
 //! of mutations, `IncrementalEngine::snapshot` canonical labels equal
-//! Tarjan over the materialized `DeltaGraph` (base + live overlay).
+//! Tarjan over the materialized `DeltaGraph` (base + live overlay), its
+//! condensation equals `SccSnapshot::from_result` on that graph under
+//! canonical ids, its positions order every condensation edge, and
+//! sampled reach answers equal BFS on the materialized graph.
 //! Checked across 1/2/4 threads, both backends (raw and compressed
 //! CSR), and batch sizes 1/16/256 — batch size 1 means the oracle runs
 //! after *every* mutation, so the O(1) in-order path, the bounded
@@ -16,7 +19,7 @@ use swscc::core::incremental::{IncrementalEngine, Mutation};
 use swscc::core::tarjan::tarjan_scc;
 use swscc::graph::{CompactBackend, CompressedCsr, CsrGraph, DeltaGraph, GraphView};
 use swscc::parallel::pool::with_pool;
-use swscc::{Algorithm, Pipeline, RunGuard, SccConfig};
+use swscc::{Algorithm, Pipeline, RunGuard, SccConfig, SccSnapshot};
 
 const BATCHES: [usize; 3] = [1, 16, 256];
 
@@ -35,16 +38,99 @@ fn arb_case(max_n: usize) -> impl Strategy<Value = (CsrGraph, Vec<(bool, u32, u3
     })
 }
 
-/// Canonical maintained labels vs Tarjan over the materialized overlay.
+/// Reach pairs sampled per check.
+const REACH_SAMPLES: usize = 24;
+
+fn splitmix64(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Whether `v` is reachable from `u`, by BFS over the plain graph.
+fn bfs_reaches(g: &CsrGraph, u: u32, v: u32) -> bool {
+    let mut seen = vec![false; g.num_nodes()];
+    let mut stack = vec![u];
+    seen[u as usize] = true;
+    while let Some(x) = stack.pop() {
+        if x == v {
+            return true;
+        }
+        for &w in g.out_neighbors(x) {
+            if !seen[w as usize] {
+                seen[w as usize] = true;
+                stack.push(w);
+            }
+        }
+    }
+    false
+}
+
+/// Condensation edges with every component id replaced by its
+/// smallest member, so two snapshots of one partition compare equal
+/// whatever ids they use.
+fn canonical_edges(snap: &SccSnapshot) -> Vec<(u32, u32)> {
+    let canonical = snap.canonical_labels();
+    let mut rep = vec![u32::MAX; snap.positions().len()];
+    for (n, &c) in snap.labels().to_vec().iter().enumerate() {
+        rep[c as usize] = canonical[n];
+    }
+    let mut edges: Vec<_> = snap
+        .condensation()
+        .edges()
+        .into_iter()
+        .map(|(a, b)| (rep[a as usize], rep[b as usize]))
+        .collect();
+    edges.sort_unstable();
+    edges
+}
+
+/// The published snapshot vs a from-scratch build over the
+/// materialized overlay: the same partition (canonical labels vs
+/// Tarjan), the same condensation edges under canonical ids, every
+/// condensation edge forward in the published positions, and a seeded
+/// sample of reach answers equal to BFS on the materialized graph.
 fn assert_matches_oracle<G: CompactBackend>(
     engine: &IncrementalEngine<G>,
     guard: &RunGuard,
     at: &str,
+    seed: u64,
 ) {
     let snap = engine.snapshot(guard).expect("snapshot");
-    let got = snap.result().canonical_labels();
-    let want = tarjan_scc(&engine.graph().materialize_csr()).canonical_labels();
-    assert_eq!(got, want, "{at}: maintained partition diverges from Tarjan");
+    let materialized = engine.graph().materialize_csr();
+    let oracle = tarjan_scc(&materialized);
+    assert_eq!(
+        snap.canonical_labels(),
+        oracle.canonical_labels(),
+        "{at}: maintained partition diverges from Tarjan"
+    );
+    assert_eq!(snap.num_components(), oracle.num_components(), "{at}");
+    let fresh = SccSnapshot::from_result(&materialized, oracle);
+    assert_eq!(
+        canonical_edges(&snap),
+        canonical_edges(&fresh),
+        "{at}: published condensation diverges from a batch build"
+    );
+    let pos = snap.positions();
+    for (a, b) in snap.condensation().edges() {
+        assert!(
+            pos.get(a as usize) < pos.get(b as usize),
+            "{at}: condensation edge {a}->{b} goes backward in the published positions"
+        );
+    }
+    let n = materialized.num_nodes() as u64;
+    let mut s = seed;
+    for _ in 0..REACH_SAMPLES {
+        let u = (splitmix64(&mut s) % n) as u32;
+        let v = (splitmix64(&mut s) % n) as u32;
+        assert_eq!(
+            snap.condensation_reach(u, v, guard),
+            Ok(Some(bfs_reaches(&materialized, u, v))),
+            "{at}: reach({u}, {v})"
+        );
+    }
 }
 
 /// Runs `script` through a fresh engine over `base` in `batch`-sized
@@ -63,7 +149,7 @@ fn run_script<G: CompactBackend>(
     let pipeline = Pipeline::stock(Algorithm::Method2).expect("method2 has a stock pipeline");
     let mut engine = IncrementalEngine::new(DeltaGraph::new(base), pipeline, cfg, &guard)
         .expect("initial full run");
-    assert_matches_oracle(&engine, &guard, "fresh engine");
+    assert_matches_oracle(&engine, &guard, "fresh engine", 0);
 
     for (i, chunk) in script.chunks(batch).enumerate() {
         for &(insert, u, v) in chunk {
@@ -74,11 +160,12 @@ fn run_script<G: CompactBackend>(
             };
             engine.apply(m, &guard).expect("mutation");
         }
-        assert_matches_oracle(&engine, &guard, &format!("batch {i} (size {batch})"));
+        let at = format!("batch {i} (size {batch})");
+        assert_matches_oracle(&engine, &guard, &at, i as u64 + 1);
     }
 
     engine.compact();
-    assert_matches_oracle(&engine, &guard, "after final compaction");
+    assert_matches_oracle(&engine, &guard, "after final compaction", u64::MAX);
     assert_eq!(
         engine.graph().pending(),
         0,
@@ -138,6 +225,36 @@ fn residue_fallback_is_counted_and_correct() {
             engine.counters().full_rebuilds > 0,
             "limit 1 must force the fallback"
         );
-        assert_matches_oracle(&engine, &guard, "after fallback delete");
+        assert_matches_oracle(&engine, &guard, "after fallback delete", 7);
+    });
+}
+
+/// Two graph edges run between the same pair of components: deleting
+/// one must keep the condensation edge (and reach across it), deleting
+/// the second must drop it.
+#[test]
+fn parallel_edge_delete_keeps_the_condensation_edge() {
+    // Components {0,1} and {2,3}, joined by 0->2 and 1->3.
+    let g = CsrGraph::from_edges(4, &[(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (1, 3)]);
+    with_pool(2, || {
+        let guard = RunGuard::new();
+        let pipeline = Pipeline::stock(Algorithm::Method2).unwrap();
+        let mut engine = IncrementalEngine::new(
+            DeltaGraph::new(g),
+            pipeline,
+            SccConfig::with_threads(2),
+            &guard,
+        )
+        .unwrap();
+        engine.apply(Mutation::Delete(0, 2), &guard).unwrap();
+        let snap = engine.snapshot(&guard).unwrap();
+        assert_eq!(snap.condensation().num_edges(), 1, "1->3 still joins them");
+        assert_eq!(snap.condensation_reach(0, 2, &guard), Ok(Some(true)));
+        assert_matches_oracle(&engine, &guard, "after deleting one parallel edge", 3);
+        engine.apply(Mutation::Delete(1, 3), &guard).unwrap();
+        let snap = engine.snapshot(&guard).unwrap();
+        assert_eq!(snap.condensation().num_edges(), 0, "the last edge is gone");
+        assert_eq!(snap.condensation_reach(0, 2, &guard), Ok(Some(false)));
+        assert_matches_oracle(&engine, &guard, "after deleting both", 4);
     });
 }

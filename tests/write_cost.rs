@@ -1,0 +1,250 @@
+//! What a served write and a reach query cost, counted rather than
+//! timed.
+//!
+//! * A write publishes a snapshot that shares structure with the epoch
+//!   before it. An in-order insert must copy no label page and keep the
+//!   condensation base; a merge copies only the pages of the nodes it
+//!   relabels, and only a full rebuild replaces the base. Sharing is
+//!   checked by pointer identity of the pages and the base between
+//!   consecutive snapshots.
+//! * `condensation_reach` must allocate nothing per query, counted by
+//!   the per-thread counting allocator this test binary installs.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use swscc::core::incremental::{IncrementalEngine, Mutation, MutationOutcome};
+use swscc::graph::{CsrGraph, DeltaGraph, GraphView};
+use swscc::parallel::pool::with_pool;
+use swscc::{Algorithm, Pipeline, RunGuard, SccConfig, SccSnapshot};
+
+/// Counts the bytes each thread allocates, then defers to the system
+/// allocator.
+struct Counting;
+
+thread_local! {
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note(bytes: usize) {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes as u64));
+}
+
+// SAFETY: every method forwards to `System` with the caller's own
+// pointer and layout; counting touches only a const thread-local `Cell`,
+// which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's layout contract passes through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: forwards to `System`, as `alloc` does.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: forwards to `System`, which allocated `ptr`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` was allocated by `System` through this allocator
+        // with `layout`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    // SAFETY: forwards to `System`, which allocated `ptr`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as in `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Bytes this thread allocated while running `f`.
+fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATED.with(Cell::get);
+    let r = f();
+    (r, ALLOCATED.with(Cell::get) - before)
+}
+
+fn splitmix64(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A random DAG on `n` nodes (every edge from a higher id to a lower
+/// one, as in the patents analog) plus a few 3-cycles, so there are
+/// many components and several label pages.
+fn dag_with_cycles(n: u32, m: usize, seed: u64) -> CsrGraph {
+    let mut s = seed;
+    let mut edges: Vec<(u32, u32)> = (0..m)
+        .filter_map(|_| {
+            let u = (splitmix64(&mut s) % u64::from(n)) as u32;
+            let v = (splitmix64(&mut s) % u64::from(n)) as u32;
+            (u != v).then(|| (u.max(v), u.min(v)))
+        })
+        .collect();
+    for c in (0..n - 3).step_by(997) {
+        edges.extend([(c, c + 1), (c + 1, c + 2), (c + 2, c)]);
+    }
+    CsrGraph::from_edges(n as usize, &edges)
+}
+
+fn engine(g: CsrGraph) -> IncrementalEngine<CsrGraph> {
+    IncrementalEngine::new(
+        DeltaGraph::new(g),
+        Pipeline::stock(Algorithm::Method2).expect("stock pipeline"),
+        SccConfig::with_threads(2),
+        &RunGuard::new(),
+    )
+    .expect("initial build")
+}
+
+/// Whether `next` shares every label page and the condensation base
+/// with `prev`.
+fn shares_labels_and_base(prev: &SccSnapshot, next: &SccSnapshot) -> bool {
+    next.labels().shared_pages(prev.labels()) == next.labels().num_pages()
+        && next.condensation().shares_base_with(prev.condensation())
+}
+
+#[test]
+fn edge_level_writes_copy_no_label_page_and_keep_the_base() {
+    with_pool(2, || {
+        let guard = RunGuard::new();
+        let n = 5_000u32;
+        let mut e = engine(dag_with_cycles(n, 12_000, 0x5EED));
+        let mut prev = e.snapshot(&guard).unwrap();
+        assert!(prev.labels().num_pages() >= 4);
+        let (mut in_order, mut reordered, mut noops) = (0, 0, 0);
+        let mut s = 0xC0FFEE;
+        // Inserts from a higher id to a lower one keep the graph acyclic
+        // apart from the planted 3-cycles, so none of them can merge;
+        // deletes of cross edges never split.
+        for i in 0..400 {
+            let u = (splitmix64(&mut s) % u64::from(n)) as u32;
+            let v = (splitmix64(&mut s) % u64::from(n)) as u32;
+            let (hi, lo) = (u.max(v), u.min(v));
+            let m = if i % 4 == 3 && prev.scc_id(hi) != prev.scc_id(lo) {
+                Mutation::Delete(hi, lo)
+            } else {
+                Mutation::Insert(hi, lo)
+            };
+            let outcome = e.apply(m, &guard).unwrap();
+            let next = e.snapshot(&guard).unwrap();
+            match outcome {
+                MutationOutcome::InOrder => in_order += 1,
+                MutationOutcome::Reordered => reordered += 1,
+                MutationOutcome::Noop => noops += 1,
+                other => panic!("{m:?} cannot change a component, got {other:?}"),
+            }
+            assert!(
+                shares_labels_and_base(&prev, &next),
+                "{m:?} ({outcome:?}) copied a label page or rebuilt the condensation base"
+            );
+            if outcome != MutationOutcome::Reordered {
+                assert_eq!(
+                    next.positions().shared_pages(prev.positions()),
+                    next.positions().num_pages(),
+                    "{outcome:?} moved no component, so it copies no position page"
+                );
+            }
+            prev = next;
+        }
+        assert!(
+            in_order > 100 && reordered > 0 && noops > 0,
+            "script must cover every edge-level path: {in_order} in order, \
+             {reordered} reordered, {noops} no-ops"
+        );
+        // A merge changes components: it copies the label pages of the
+        // relabelled nodes and moves their condensation edges through
+        // the overlay. Only a full rebuild replaces the base.
+        let before = e.snapshot(&guard).unwrap();
+        let (a, b) = e
+            .graph()
+            .materialize_csr()
+            .edges()
+            .find(|&(a, b)| before.scc_id(a) != before.scc_id(b))
+            .expect("a cross-component edge");
+        assert!(matches!(
+            e.apply(Mutation::Insert(b, a), &guard).unwrap(),
+            MutationOutcome::Merged { .. }
+        ));
+        let after = e.snapshot(&guard).unwrap();
+        assert!(after.condensation().shares_base_with(before.condensation()));
+        let copied = after.labels().num_pages() - after.labels().shared_pages(before.labels());
+        assert!(
+            (1..=2).contains(&copied),
+            "two merged singletons relabel one node: one page, got {copied}"
+        );
+        assert_eq!(
+            before.same_scc(a, b),
+            Some(false),
+            "the old epoch is intact"
+        );
+        assert_eq!(after.same_scc(a, b), Some(true));
+        e.rebuild(&guard).unwrap();
+        let rebuilt = e.snapshot(&guard).unwrap();
+        assert!(!rebuilt
+            .condensation()
+            .shares_base_with(after.condensation()));
+        assert_eq!(rebuilt.labels().shared_pages(after.labels()), 0);
+    });
+}
+
+#[test]
+fn condensation_reach_allocates_nothing() {
+    with_pool(2, || {
+        let guard = RunGuard::new();
+        let n = 20_000u32;
+        let g = dag_with_cycles(n, 60_000, 0xDA6);
+        let (result, _report) = swscc::detect_scc(&g, Algorithm::Tarjan, &SccConfig::default());
+        let batch = SccSnapshot::from_result(&g, result);
+        // The engine-published snapshot reads through a non-empty
+        // condensation overlay.
+        let mut e = engine(g);
+        let mut s = 0x0BAD_5EED;
+        for _ in 0..200 {
+            let u = (splitmix64(&mut s) % u64::from(n)) as u32;
+            let v = (splitmix64(&mut s) % u64::from(n)) as u32;
+            e.insert_edge(u.max(v), u.min(v), &guard).unwrap();
+        }
+        let served = e.snapshot(&guard).unwrap();
+        assert!(served.condensation().pending() > 0, "overlay in use");
+
+        for snap in [&batch, &served] {
+            let pairs: Vec<(u32, u32)> = (0..2_000)
+                .map(|_| {
+                    let u = (splitmix64(&mut s) % u64::from(n)) as u32;
+                    (u, (splitmix64(&mut s) % u64::from(n)) as u32)
+                })
+                .collect();
+            // One query sizes this thread's reusable arrays.
+            snap.condensation_reach(n - 1, 0, &guard).unwrap();
+            let mut answers = [0usize; 2];
+            let ((), bytes) = allocated_by(|| {
+                for &(u, v) in &pairs {
+                    let hit = snap.condensation_reach(u, v, &guard).unwrap();
+                    answers[usize::from(hit == Some(true))] += 1;
+                }
+            });
+            assert_eq!(
+                bytes,
+                0,
+                "reach allocated {bytes} bytes over {} queries",
+                pairs.len()
+            );
+            assert!(
+                answers[0] > 0 && answers[1] > 0,
+                "sample must hold both answers: {answers:?}"
+            );
+        }
+    });
+}
