@@ -19,6 +19,7 @@
 
 use std::cell::Cell;
 use std::ops::ControlFlow;
+use std::sync::OnceLock;
 
 use swscc_sync::atomic::{AtomicBool, Ordering};
 
@@ -35,7 +36,16 @@ thread_local! {
 /// Number of threads parallel sections run with on this thread: the
 /// innermost [`ThreadPool::install`] override, or hardware parallelism.
 pub fn current_num_threads() -> usize {
-    POOL_THREADS.with(|t| t.get()).unwrap_or_else(|| {
+    POOL_THREADS
+        .with(|t| t.get())
+        .unwrap_or_else(hardware_threads)
+}
+
+/// Hardware parallelism, queried once per process: the query reads
+/// cgroup files, tens of microseconds per call.
+fn hardware_threads() -> usize {
+    static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
+    *HARDWARE_THREADS.get_or_init(|| {
         swscc_sync::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -88,9 +98,7 @@ impl ThreadPoolBuilder {
 
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         let n = match self.num_threads {
-            Some(0) | None => swscc_sync::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            Some(0) | None => hardware_threads(),
             Some(n) => n,
         };
         Ok(ThreadPool { num_threads: n })
@@ -772,6 +780,24 @@ mod tests {
                 .unwrap()
         });
         assert_eq!(inner, 3);
+    }
+
+    #[test]
+    fn install_overrides_the_cached_hardware_width() {
+        let hardware = current_num_threads();
+        assert_eq!(current_num_threads(), hardware, "cached value is stable");
+        assert_eq!(
+            ThreadPoolBuilder::new()
+                .build()
+                .unwrap()
+                .current_num_threads(),
+            hardware
+        );
+        for n in [1, hardware + 3] {
+            let pool = ThreadPoolBuilder::new().num_threads(n).build().unwrap();
+            assert_eq!(pool.install(current_num_threads), n);
+        }
+        assert_eq!(current_num_threads(), hardware, "install restores it");
     }
 
     #[test]

@@ -30,13 +30,23 @@
 //!   components cannot create a cycle or break the order. The
 //!   condensation edge goes only with the last graph edge between the
 //!   two components, found by scanning the smaller one's adjacency.
-//! * **Delete, intra-component**: the owning SCC is dirty. Its members
-//!   are extracted as a local residue subgraph and the stock pipeline
-//!   re-runs on that residue only (the same LiveSet-restricted kernels
-//!   as a batch run, on a |residue|-sized input); a split allocates
-//!   fresh labels and packs the parts, in residue topological order,
-//!   into the position gap the old component occupied, and replaces the
-//!   old component's condensation edges with the parts'.
+//! * **Delete, intra-component**: deleting `u -> v` from component `C`
+//!   leaves `C` strongly connected exactly when `u` still reaches `v`
+//!   inside `C` — a path that leaves `C` cannot come back, because `C`
+//!   was maximal and a delete adds no reachability. A self-loop delete
+//!   therefore survives in O(1); any other runs a bidirectional BFS
+//!   over `C`'s nodes (forward from `u`, backward from `v`, smaller
+//!   frontier first, visit marks in an engine-owned stamp array),
+//!   capped at the residue limit. When the sides meet, the delete is
+//!   *certified*: nothing but the graph overlay changes. When a side
+//!   runs dry (a split is proven) or the cap is hit, the owning SCC is
+//!   dirty: its members are extracted as a local residue subgraph and
+//!   the stock pipeline re-runs on that residue only (the same
+//!   LiveSet-restricted kernels as a batch run, on a |residue|-sized
+//!   input); a split allocates fresh labels and packs the parts, in
+//!   residue topological order, into the position gap the old
+//!   component occupied, and replaces the old component's condensation
+//!   edges with the parts'.
 //!
 //! Any mutation whose affected region exceeds
 //! [`SccConfig::incremental_residue_limit`] degrades to a full rebuild —
@@ -82,8 +92,9 @@ pub enum MutationOutcome {
         /// Components folded together (≥ 2).
         merged: usize,
     },
-    /// An intra-SCC delete re-ran the pipeline on the dirty residue;
-    /// the component split into `parts` (1 = it survived intact).
+    /// An intra-SCC delete: the component survived intact (`parts` = 1,
+    /// certified by the reachability check or by a residue re-run) or
+    /// the residue re-run split it into `parts`.
     Repaired {
         /// Components the residue resolved into.
         parts: usize,
@@ -103,7 +114,11 @@ pub struct EngineCounters {
     pub reorders: u64,
     /// Back-edge inserts that merged components.
     pub merges: u64,
-    /// Intra-SCC deletes repaired on the residue.
+    /// Intra-SCC deletes the reachability check settled: `u` still
+    /// reaches `v` inside the component, so nothing was re-run.
+    pub certified: u64,
+    /// Intra-SCC deletes that re-ran the pipeline on the residue (the
+    /// check proved a split or ran out of budget).
     pub dirty_repairs: u64,
     /// Repairs that actually split the component.
     pub splits: u64,
@@ -145,6 +160,23 @@ pub struct IncrementalEngine<G: CompactBackend> {
     /// so the next operation must rebuild first.
     poisoned: bool,
     counters: EngineCounters,
+    /// Visit marks and frontiers of the intra-SCC delete check.
+    survival: SurvivalScratch,
+}
+
+/// Reusable state of [`IncrementalEngine::still_reaches`], kept between
+/// deletes so a delete the check settles allocates nothing once the
+/// arrays fit.
+#[derive(Default)]
+struct SurvivalScratch {
+    /// `stamps[n] == current` marks node `n` reached forward from `u`,
+    /// `current + 1` reached backward from `v`; older values are stale.
+    stamps: Vec<u32>,
+    current: u32,
+    /// Current levels of the forward (0) and backward (1) sides.
+    frontier: [Vec<NodeId>; 2],
+    /// The level being built.
+    next: Vec<NodeId>,
 }
 
 impl<G: CompactBackend> IncrementalEngine<G> {
@@ -169,6 +201,7 @@ impl<G: CompactBackend> IncrementalEngine<G> {
             next_label: 0,
             poisoned: false,
             counters: EngineCounters::default(),
+            survival: SurvivalScratch::default(),
         };
         engine.index_view();
         Ok(engine)
@@ -298,7 +331,82 @@ impl<G: CompactBackend> IncrementalEngine<G> {
             self.counters.in_order += 1;
             return Ok(MutationOutcome::InOrder);
         }
+        if u == v || self.still_reaches(u, v, cu, guard)? {
+            self.counters.certified += 1;
+            return Ok(MutationOutcome::Repaired { parts: 1 });
+        }
         self.repair_dirty(cu, guard)
+    }
+
+    /// Whether `u` still reaches `v` through nodes of component `c` —
+    /// after deleting `u -> v` from `c`, exactly whether `c` survives.
+    /// Bidirectional BFS, forward from `u` and backward from `v`,
+    /// expanding the smaller frontier one level at a time and polling
+    /// `guard` once per level. `false` when a side runs dry (the split
+    /// is proven) or the residue limit's worth of nodes is visited
+    /// before the sides meet; the caller then re-runs the residue.
+    fn still_reaches(
+        &mut self,
+        u: NodeId,
+        v: NodeId,
+        c: u32,
+        guard: &RunGuard,
+    ) -> Result<bool, SccError> {
+        let limit = self.cfg.incremental_residue_limit.max(1);
+        let Self {
+            graph,
+            view,
+            survival: s,
+            ..
+        } = self;
+        if s.stamps.len() < graph.num_nodes() {
+            s.stamps.resize(graph.num_nodes(), 0);
+        }
+        // Two fresh marks per search; a wrap clears the array for real.
+        if s.current >= u32::MAX - 2 {
+            s.stamps.fill(0);
+            s.current = 0;
+        }
+        s.current += 2;
+        let marks = [s.current, s.current + 1];
+        s.stamps[u as usize] = marks[0];
+        s.stamps[v as usize] = marks[1];
+        for (side, start) in [u, v].into_iter().enumerate() {
+            s.frontier[side].clear();
+            s.frontier[side].push(start);
+        }
+        let mut visited = 2usize;
+        loop {
+            guard.check()?;
+            let side = usize::from(s.frontier[1].len() < s.frontier[0].len());
+            if s.frontier[side].is_empty() {
+                return Ok(false);
+            }
+            let dir = [Direction::Forward, Direction::Backward][side];
+            let (mine, theirs) = (marks[side], marks[1 - side]);
+            let (mut met, mut over) = (false, false);
+            s.next.clear();
+            for &x in &s.frontier[side] {
+                graph.for_each_neighbor_while(dir, x, |w| {
+                    let stamp = &mut s.stamps[w as usize];
+                    if *stamp == theirs {
+                        met = true;
+                        return false;
+                    }
+                    if *stamp != mine && view.labels.get(w as usize) == c {
+                        *stamp = mine;
+                        s.next.push(w);
+                        visited += 1;
+                        over = visited > limit;
+                    }
+                    !over
+                });
+                if met || over {
+                    return Ok(met);
+                }
+            }
+            std::mem::swap(&mut s.frontier[side], &mut s.next);
+        }
     }
 
     /// Whether some graph edge still runs from component `a` to `b`,
@@ -561,9 +669,10 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         self.occupied.insert(pos);
     }
 
-    /// Intra-SCC delete: re-run the stock pipeline on the dirty
-    /// component's residue only, then relabel and re-position any split
-    /// parts inside the gap the old component occupied.
+    /// Intra-SCC delete the reachability check could not certify:
+    /// re-run the stock pipeline on the dirty component's residue only,
+    /// then relabel and re-position any split parts inside the gap the
+    /// old component occupied.
     fn repair_dirty(&mut self, c: u32, guard: &RunGuard) -> Result<MutationOutcome, SccError> {
         let limit = self.cfg.incremental_residue_limit.max(1);
         if self.members[&c].len() > limit {
@@ -590,7 +699,8 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         let (sub, _report) = run_pipeline(&residue, &self.pipeline, &self.cfg, guard)?;
         let parts = sub.num_components();
         if parts == 1 {
-            // The SCC survived the deletion intact.
+            // The SCC survived the deletion intact; only a check that ran
+            // out of budget gets here.
             return Ok(MutationOutcome::Repaired { parts: 1 });
         }
         self.counters.splits += 1;
@@ -870,7 +980,12 @@ mod tests {
         let out = e.delete_edge(2, 3, &guard).unwrap();
         assert_eq!(out, MutationOutcome::Repaired { parts: 4 });
         assert_eq!(e.num_components(), 5);
-        assert_eq!(e.counters().splits, 1);
+        let c = e.counters();
+        assert_eq!(
+            (c.certified, c.dirty_repairs, c.splits),
+            (0, 1, 1),
+            "the check proves the split, the residue re-run performs it: {c:?}"
+        );
         assert_matches_oracle(&e);
     }
 
@@ -881,9 +996,62 @@ mod tests {
         // chord.
         let mut e = engine(3, &[(0, 1), (1, 2), (2, 0), (1, 0)]);
         assert_eq!(e.num_components(), 1);
+        let before = e.snapshot(&guard).unwrap();
         let out = e.delete_edge(1, 0, &guard).unwrap();
         assert_eq!(out, MutationOutcome::Repaired { parts: 1 });
         assert_eq!(e.num_components(), 1);
+        let c = e.counters();
+        assert_eq!(
+            (c.certified, c.dirty_repairs, c.splits),
+            (1, 0, 0),
+            "certified without a residue re-run: {c:?}"
+        );
+        let after = e.snapshot(&guard).unwrap();
+        assert_eq!(
+            after.labels().shared_pages(before.labels()),
+            after.labels().num_pages()
+        );
+        assert_matches_oracle(&e);
+    }
+
+    #[test]
+    fn self_loop_delete_is_certified_in_o1() {
+        // Even a guard that has already expired does not stop it: the
+        // self-loop case never searches, so never polls.
+        let expired = RunGuard::with_deadline(std::time::Duration::ZERO);
+        let mut e = engine(4, &[(0, 1), (1, 2), (2, 0), (1, 1), (3, 3)]);
+        for n in [1, 3] {
+            assert_eq!(
+                e.delete_edge(n, n, &expired).unwrap(),
+                MutationOutcome::Repaired { parts: 1 }
+            );
+        }
+        let c = e.counters();
+        assert_eq!((c.certified, c.dirty_repairs), (2, 0), "{c:?}");
+        assert!(e.survival.stamps.is_empty(), "no search ran");
+        assert_matches_oracle(&e);
+    }
+
+    #[test]
+    fn expired_guard_fails_the_check_and_the_next_write_heals() {
+        let mut e = engine(3, &[(0, 1), (1, 2), (2, 0), (1, 0)]);
+        let expired = RunGuard::with_deadline(std::time::Duration::ZERO);
+        assert_eq!(
+            e.delete_edge(1, 0, &expired),
+            Err(SccError::DeadlineExceeded)
+        );
+        assert!(
+            e.is_poisoned(),
+            "the graph holds a delete the check never settled"
+        );
+        assert_eq!(e.counters().certified, 0);
+        let guard = RunGuard::new();
+        assert_eq!(
+            e.insert_edge(0, 2, &guard).unwrap(),
+            MutationOutcome::InOrder
+        );
+        assert!(!e.is_poisoned());
+        assert_eq!(e.counters().full_rebuilds, 1, "healed by one rebuild");
         assert_matches_oracle(&e);
     }
 

@@ -15,7 +15,7 @@
 //! partition.
 
 use proptest::prelude::*;
-use swscc::core::incremental::{IncrementalEngine, Mutation};
+use swscc::core::incremental::{EngineCounters, IncrementalEngine, Mutation};
 use swscc::core::tarjan::tarjan_scc;
 use swscc::graph::{CompactBackend, CompressedCsr, CsrGraph, DeltaGraph, GraphView};
 use swscc::parallel::pool::with_pool;
@@ -135,14 +135,14 @@ fn assert_matches_oracle<G: CompactBackend>(
 
 /// Runs `script` through a fresh engine over `base` in `batch`-sized
 /// chunks, diffing against Tarjan at every batch boundary and once more
-/// after a final compaction.
+/// after a final compaction. Returns the engine's path counters.
 fn run_script<G: CompactBackend>(
     base: G,
     script: &[(bool, u32, u32)],
     threads: usize,
     batch: usize,
     residue_limit: usize,
-) {
+) -> EngineCounters {
     let guard = RunGuard::new();
     let mut cfg = SccConfig::with_threads(threads);
     cfg.incremental_residue_limit = residue_limit;
@@ -171,6 +171,7 @@ fn run_script<G: CompactBackend>(
         0,
         "compaction must fold the whole overlay"
     );
+    engine.counters()
 }
 
 proptest! {
@@ -256,5 +257,106 @@ fn parallel_edge_delete_keeps_the_condensation_edge() {
         assert_eq!(snap.condensation().num_edges(), 0, "the last edge is gone");
         assert_eq!(snap.condensation_reach(0, 2, &guard), Ok(Some(false)));
         assert_matches_oracle(&engine, &guard, "after deleting both", 4);
+    });
+}
+
+/// Nodes in the giant SCC of [`bow_tie`].
+const CORE: u32 = 192;
+
+/// A bow-tie analog of a small-world graph, and a delete-heavy script
+/// over it. The giant SCC is a ring of [`CORE`] nodes with two random
+/// chords per node; an IN side of 3-cycles feeds it and an OUT side of
+/// 3-cycles hangs off it. The script deletes chords of the giant SCC
+/// (the ring keeps it strongly connected), edges of the small cycles
+/// (each splits its cycle) and IN/OUT attachments (cross-component),
+/// and now and then puts a deleted chord back.
+fn bow_tie(seed: u64) -> (CsrGraph, Vec<(bool, u32, u32)>) {
+    const SIDE: u32 = 3 * 12;
+    let (n, mut s) = (CORE + 2 * SIDE, seed);
+    let mut edges: Vec<(u32, u32)> = (0..CORE).map(|i| (i, (i + 1) % CORE)).collect();
+    let mut chords = Vec::new();
+    for i in 0..CORE {
+        for _ in 0..2 {
+            let j = (splitmix64(&mut s) % u64::from(CORE)) as u32;
+            if j != i && j != (i + 1) % CORE && !chords.contains(&(i, j)) {
+                chords.push((i, j));
+            }
+        }
+    }
+    edges.extend(&chords);
+    let (mut cycle_edges, mut attachments) = (Vec::new(), Vec::new());
+    for t in (CORE..n).step_by(3) {
+        cycle_edges.extend([(t, t + 1), (t + 1, t + 2), (t + 2, t)]);
+        let core = (splitmix64(&mut s) % u64::from(CORE)) as u32;
+        attachments.push(if t < CORE + SIDE {
+            (t, core)
+        } else {
+            (core, t)
+        });
+    }
+    edges.extend(&cycle_edges);
+    edges.extend(&attachments);
+    let g = CsrGraph::from_edges(n as usize, &edges);
+
+    let mut script = Vec::new();
+    let mut deleted: Vec<(u32, u32)> = Vec::new();
+    let pick = |v: &mut Vec<(u32, u32)>, s: &mut u64| {
+        let i = (splitmix64(s) % v.len() as u64) as usize;
+        v.swap_remove(i)
+    };
+    for step in 0..120 {
+        let (insert, (u, v)) = match step % 8 {
+            3 if !cycle_edges.is_empty() => (false, pick(&mut cycle_edges, &mut s)),
+            6 if !attachments.is_empty() => (false, pick(&mut attachments, &mut s)),
+            7 if !deleted.is_empty() => {
+                let e = pick(&mut deleted, &mut s);
+                chords.push(e);
+                (true, e)
+            }
+            _ => {
+                let e = pick(&mut chords, &mut s);
+                deleted.push(e);
+                (false, e)
+            }
+        };
+        script.push((insert, u, v));
+    }
+    (g, script)
+}
+
+/// Deletes inside the giant SCC are settled by the reachability check
+/// even though the residue limit is below the giant SCC's size: no
+/// full rebuild, while the small cycles still split through the
+/// residue pipeline. Diffed against Tarjan at every batch boundary.
+#[test]
+fn giant_scc_deletes_are_certified_below_the_residue_limit() {
+    let limit = CORE as usize / 2;
+    for seed in [1u64, 2, 3] {
+        let (g, script) = bow_tie(seed);
+        for threads in [1usize, 2] {
+            with_pool(threads, || {
+                for batch in [1usize, 16] {
+                    for c in [
+                        run_script(g.clone(), &script, threads, batch, limit),
+                        run_script(CompressedCsr::from_csr(&g), &script, threads, batch, limit),
+                    ] {
+                        assert!(c.certified > 0 && c.splits > 0, "seed {seed}: {c:?}");
+                        assert_eq!(c.full_rebuilds, 0, "seed {seed}: {c:?}");
+                    }
+                }
+            });
+        }
+    }
+}
+
+/// The same script with a search budget too small to settle a chord
+/// delete: the check gives up, the giant residue is over the limit, and
+/// the delete falls back to a full rebuild, still matching Tarjan.
+#[test]
+fn exhausted_check_budget_falls_back_to_a_rebuild() {
+    let (g, script) = bow_tie(1);
+    with_pool(1, || {
+        let c = run_script(g, &script, 1, 1, 4);
+        assert!(c.full_rebuilds > 0 && c.splits > 0, "{c:?}");
     });
 }

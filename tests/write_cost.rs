@@ -7,6 +7,10 @@
 //!   relabels, and only a full rebuild replaces the base. Sharing is
 //!   checked by pointer identity of the pages and the base between
 //!   consecutive snapshots.
+//! * An intra-SCC delete that the reachability check certifies must
+//!   write nothing shared — no label or position page, no condensation
+//!   overlay entry — and allocate the same bytes whether the component
+//!   has 1k or 16k nodes.
 //! * `condensation_reach` must allocate nothing per query, counted by
 //!   the per-thread counting allocator this test binary installs.
 
@@ -196,6 +200,66 @@ fn edge_level_writes_copy_no_label_page_and_keep_the_base() {
             .condensation()
             .shares_base_with(after.condensation()));
         assert_eq!(rebuilt.labels().shared_pages(after.labels()), 0);
+    });
+}
+
+/// Bytes allocated by a certified chord delete inside a `k`-node SCC,
+/// after one warm-up delete sized the engine's search state. The SCC
+/// is a ring with skip chords `i -> i + 2`; two nodes hang off it so
+/// the condensation has edges.
+fn certified_delete_bytes(k: u32) -> u64 {
+    let guard = RunGuard::new();
+    let mut edges: Vec<(u32, u32)> = (0..k).map(|i| (i, (i + 1) % k)).collect();
+    edges.extend((0..k).map(|i| (i, (i + 2) % k)));
+    edges.extend([(0, k), (k + 1, 0)]);
+    let mut cfg = SccConfig::with_threads(2);
+    // Below the component's size, so a residue re-run would degrade.
+    cfg.incremental_residue_limit = 512;
+    let mut e = IncrementalEngine::new(
+        DeltaGraph::new(CsrGraph::from_edges(k as usize + 2, &edges)),
+        Pipeline::stock(Algorithm::Method2).expect("stock pipeline"),
+        cfg,
+        &guard,
+    )
+    .expect("initial build");
+    assert_eq!(e.num_components(), 3);
+    let certified = MutationOutcome::Repaired { parts: 1 };
+    assert_eq!(e.delete_edge(0, 2, &guard).unwrap(), certified);
+    let before = e.snapshot(&guard).unwrap();
+    let (outcome, bytes) = allocated_by(|| e.delete_edge(k / 2, k / 2 + 2, &guard).unwrap());
+    assert_eq!(outcome, certified);
+    let after = e.snapshot(&guard).unwrap();
+    assert!(
+        shares_labels_and_base(&before, &after),
+        "a certified delete copied a label page or rebuilt the base"
+    );
+    assert_eq!(
+        after.positions().shared_pages(before.positions()),
+        after.positions().num_pages(),
+        "a certified delete moves no component"
+    );
+    assert_eq!(
+        after.condensation().pending(),
+        before.condensation().pending()
+    );
+    let c = e.counters();
+    assert_eq!(
+        (c.certified, c.dirty_repairs, c.full_rebuilds),
+        (2, 0, 0),
+        "{c:?}"
+    );
+    bytes
+}
+
+#[test]
+fn certified_intra_scc_delete_writes_nothing_shared_and_allocates_o1() {
+    with_pool(2, || {
+        let small = certified_delete_bytes(1_000);
+        let large = certified_delete_bytes(16_000);
+        assert_eq!(
+            small, large,
+            "a certified delete allocated bytes that grow with the component"
+        );
     });
 }
 
