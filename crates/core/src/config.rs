@@ -18,8 +18,9 @@ pub enum PivotStrategy {
     MaxDegreeProduct,
 }
 
-/// What a checked driver does when a worker panic is caught (the
-/// `*_scc_checked` entry points; legacy `*_scc` functions re-panic).
+/// What a checked run does when a worker panic is caught
+/// ([`crate::run_checked`] returns the error; [`crate::detect_scc`]
+/// panics with it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PanicPolicy {
     /// Recover: retry a task that died at the work-queue boundary once,

@@ -1,5 +1,5 @@
-//! Shared machinery of the checked (`*_scc_checked`) driver entry points:
-//! interrupt checks at phase boundaries, panic capture around the
+//! Shared machinery of the checked entry points ([`crate::run_checked`],
+//! [`crate::run_pipeline`]): interrupt checks at phase boundaries, panic capture around the
 //! data-parallel phases, and the work-queue retry/degrade/restart policy.
 //!
 //! # Recovery soundness

@@ -1,7 +1,7 @@
-//! Typed failure surface of the checked driver entry points.
+//! Typed failure surface of the checked entry points.
 //!
-//! The legacy `*_scc` functions panic on internal failure and run without
-//! bound. The `*_scc_checked` drivers (and [`crate::run_checked`]) instead
+//! [`crate::detect_scc`] panics on a failure its panic policy does not
+//! absorb and runs without bound. [`crate::run_checked`] and [`crate::run_pipeline`] instead
 //! return an [`SccError`] and accept a [`RunGuard`] — the caller-facing
 //! handle bundling a cooperative cancellation token and an optional
 //! wall-clock deadline, both polled by every kernel loop at superstep /

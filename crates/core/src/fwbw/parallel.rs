@@ -475,7 +475,7 @@ mod tests {
                 direction_optimizing: true,
                 ..SccConfig::with_threads(2)
             };
-            let (r, _) = crate::method2::method2_scc(&g, &c);
+            let (r, _) = crate::detect_scc(&g, crate::Algorithm::Method2, &c);
             assert_eq!(
                 r.canonical_labels(),
                 crate::tarjan::tarjan_scc(&g).canonical_labels()

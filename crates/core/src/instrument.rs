@@ -118,8 +118,8 @@ pub struct RunReport {
     pub fwbw_trials: usize,
     /// First-N recursive task executions, §3.3 format.
     pub task_log: Vec<TaskLogEntry>,
-    /// Recovery actions taken by a checked driver (empty on a clean run
-    /// and for the legacy entry points).
+    /// Recovery actions taken by a pipeline run (empty on a clean run
+    /// and for the sequential oracles).
     pub recoveries: Vec<RecoveryEvent>,
 }
 

@@ -7,25 +7,29 @@
 //!
 //! ## Algorithms
 //!
-//! | API | Paper | Strategy |
+//! | [`Algorithm`] | Paper | Stages ([`Pipeline::stock`]) |
 //! |---|---|---|
-//! | [`tarjan::tarjan_scc`] | speedup baseline | sequential, iterative Tarjan |
-//! | [`kosaraju::kosaraju_scc`] | (test oracle) | sequential two-pass |
-//! | [`pearce::pearce_scc`] | (test oracle) | sequential, one-array Pearce |
-//! | [`baseline::baseline_scc`] | Alg. 3 | Par-Trim + recursive FW-BW work queue |
-//! | [`method1::method1_scc`] | Alg. 6 | + data-parallel giant-SCC peel (Par-FWBW) |
-//! | [`method2::method2_scc`] | Alg. 9 | + Par-Trim2 + Par-WCC re-partitioning |
+//! | `Tarjan` | speedup baseline | sequential, iterative Tarjan ([`tarjan`]) |
+//! | `Kosaraju` | (test oracle) | sequential two-pass ([`kosaraju`]) |
+//! | `Pearce` | (test oracle) | sequential, one-array Pearce ([`pearce`]) |
+//! | `FwBw` | ref. \[13\] | `tasks` |
+//! | `Baseline` | Alg. 3 | `trim,tasks` |
+//! | `Method1` | Alg. 6 | `trim,fwbw,trim,tasks` |
+//! | `Method2` | Alg. 9 | `trim,fwbw,trim,trim2,trim,wcc,tasks` |
+//! | `Coloring` | related work | `trim,coloring` |
+//! | `Multistep` | follow-on | `trim,peel,trim,colortail,serial` |
 //!
 //! The one-stop entry point is [`detect_scc`] with an [`Algorithm`]
 //! selector and an [`SccConfig`]; it returns the component assignment
 //! ([`SccResult`]) and a [`instrument::RunReport`] with the per-phase
 //! timings/counters behind the paper's Figures 7 and 8 and the §3.3 task
-//! log.
+//! log. [`run_checked`] is the same run under a caller-owned
+//! [`RunGuard`] (cancellation, deadline) with a typed [`SccError`].
 //!
-//! The five parallel algorithms are declarative stage lists executed by
-//! the [`pipeline`] engine; [`run_pipeline`] also runs any legal custom
-//! composition (the CLI's `--pipeline` flag) with the same per-phase
-//! breakdown.
+//! Every parallel algorithm is a row of the stock stage table executed
+//! by the [`pipeline`] engine; [`run_pipeline`] also runs any legal
+//! custom composition (the CLI's `--pipeline` flag) with the same
+//! per-phase breakdown.
 //!
 //! ## Quick start
 //!
@@ -43,20 +47,14 @@
 //! assert_eq!(result.largest_component_size(), 3);
 //! ```
 
-pub mod baseline;
-pub mod coloring;
 pub mod config;
 mod driver;
 pub mod error;
 pub mod fwbw;
-pub mod fwbw_only;
 pub mod incremental;
 pub mod instrument;
 pub mod kosaraju;
-pub mod method1;
-pub mod method2;
 pub mod multireach;
-pub mod multistep;
 pub mod pearce;
 pub mod pipeline;
 pub mod result;
@@ -79,6 +77,9 @@ pub use snapshot::SccSnapshot;
 use swscc_graph::CsrGraph;
 
 /// Which SCC implementation to run.
+///
+/// Every variant but the three sequential oracles is a row of the stock
+/// stage table ([`Pipeline::stock`]) and runs through [`run_pipeline`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Sequential Tarjan (the paper's "optimal sequential algorithm").
@@ -87,22 +88,39 @@ pub enum Algorithm {
     Kosaraju,
     /// Sequential Pearce (oracle).
     Pearce,
-    /// The original FW-BW algorithm (Fleischer et al. \[13\]) with no Trim
-    /// step — the pre-paper state of the art, kept for the Trim ablation.
+    /// The original FW-BW algorithm (Fleischer et al. \[13\]), stages
+    /// `tasks`: the recursive FW-BW work queue with no Trim step. Every
+    /// trivial SCC costs a full FW + BW reachability pair, which is the
+    /// gap McLendon et al.'s Trim closes on real-world graphs (§2.1–2.2);
+    /// kept for the `ablation_trim` harness.
     FwBw,
-    /// Orzan's Coloring algorithm (max-label propagation) — the other
-    /// classic parallel SCC family, compared against by the paper's
-    /// related work (\[8\], \[9\]) and follow-ons.
+    /// Orzan's Coloring algorithm, stages `trim,coloring`: max-label
+    /// propagation to a fixpoint, then a backward search from each
+    /// label root within its class, repeated on the residue. It resolves
+    /// many SCCs per round, but the giant SCC's max-id member floods
+    /// nearly the whole graph each round. The other classic parallel SCC
+    /// family, compared against by the paper's related work (\[8\], \[9\]).
     Coloring,
-    /// Paper Algorithm 3: parallel Trim + recursive FW-BW via work queue.
+    /// Paper Algorithm 3, stages `trim,tasks`: Par-Trim, then recursive
+    /// FW-BW over the work queue (K = 1). It does not scale on
+    /// small-world graphs (§5, Fig. 6): one thread ends up processing the
+    /// giant SCC while the others idle.
     Baseline,
-    /// Paper Algorithm 6: two-phase parallelization.
+    /// Paper Algorithm 6, stages `trim,fwbw,trim,tasks`: a data-parallel
+    /// phase (Par-Trim, a Par-FWBW peel of the giant SCC with parallel
+    /// BFS, Par-Trim again on what the peel exposes, §3.2), then the
+    /// task-parallel recursive phase (K = 1).
     Method1,
-    /// Paper Algorithm 9: Method 1 + Trim2 + parallel WCC.
+    /// Paper Algorithm 9, stages `trim,fwbw,trim,trim2,trim,wcc,tasks`:
+    /// Method 1 with the Par-Trim′ block (Trim; Trim2 once, since it
+    /// costs more than Trim; Trim — §3.4) and Par-WCC re-partitioning of
+    /// the residue into one work item per weakly connected component
+    /// (§3.3). K = 8 (§4.3): the WCC groups give batching enough tasks.
     Method2,
-    /// Multistep (Slota et al., IPDPS'14) — the paper's direct follow-on:
-    /// Trim → degree-product FW-BW peel → Coloring tail → serial finish.
-    /// Implemented as an extension feature.
+    /// Multistep (Slota et al., IPDPS'14), the paper's direct follow-on,
+    /// stages `trim,peel,trim,colortail,serial`: one FW-BW peel from the
+    /// max-degree-product pivot, a bounded Coloring tail, and a serial
+    /// Tarjan finish on the small residue.
     Multistep,
 }
 
@@ -149,31 +167,29 @@ impl Algorithm {
 }
 
 /// Runs the selected SCC algorithm on `g` and returns the component
-/// assignment plus the instrumentation report.
+/// assignment plus the instrumentation report: [`run_checked`] under a
+/// fresh [`RunGuard`].
+///
+/// # Panics
+///
+/// A fresh guard is never cancelled and has no deadline, so this panics
+/// only when a worker panics under [`PanicPolicy::Fail`] (or a fixpoint
+/// watchdog trips, which is a bug).
 pub fn detect_scc(g: &CsrGraph, algo: Algorithm, cfg: &SccConfig) -> (SccResult, RunReport) {
-    match algo {
-        Algorithm::Tarjan => instrument::timed_sequential(|| tarjan::tarjan_scc(g)),
-        Algorithm::Kosaraju => instrument::timed_sequential(|| kosaraju::kosaraju_scc(g)),
-        Algorithm::Pearce => instrument::timed_sequential(|| pearce::pearce_scc(g)),
-        Algorithm::FwBw => fwbw_only::fwbw_scc(g, cfg),
-        Algorithm::Coloring => coloring::coloring_scc(g, cfg),
-        Algorithm::Baseline => baseline::baseline_scc(g, cfg),
-        Algorithm::Method1 => method1::method1_scc(g, cfg),
-        Algorithm::Method2 => method2::method2_scc(g, cfg),
-        Algorithm::Multistep => multistep::multistep_scc(g, cfg),
-    }
+    run_checked(g, algo, cfg, &RunGuard::new())
+        .expect("a run under a fresh guard fails only on a worker panic under PanicPolicy::Fail")
 }
 
 /// Fault-tolerant entry point: runs the selected algorithm under `guard`
 /// (cooperative cancellation + optional deadline) with panic recovery per
 /// [`SccConfig::on_panic`] and watchdog-bounded fixpoint loops.
 ///
-/// The five parallel algorithms dispatch through the [`pipeline`]
-/// engine's stock stage-list table ([`Pipeline::stock`]); the engine
-/// polls the guard at stage/round granularity and returns a typed
-/// [`SccError`] on abort. The sequential oracles and the demo FW-BW run
-/// outside the engine and cannot be interrupted mid-run; for those the
-/// guard is honoured once at entry.
+/// Every parallel algorithm runs its stock stage list
+/// ([`Pipeline::stock`]) through [`run_pipeline`], which polls the guard
+/// at stage/round/task granularity and returns a typed [`SccError`] on
+/// abort. The three sequential oracles have no stage structure and
+/// cannot be interrupted mid-run; for those the guard is honoured once
+/// at entry.
 #[must_use = "dropping the result discards both the SCC partition and the run's error/recovery record"]
 pub fn run_checked(
     g: &CsrGraph,
@@ -181,15 +197,20 @@ pub fn run_checked(
     cfg: &SccConfig,
     guard: &RunGuard,
 ) -> Result<(SccResult, RunReport), SccError> {
-    match Pipeline::stock(algo) {
-        Some(pipeline) => run_pipeline(g, &pipeline, cfg, guard),
-        None => {
-            // engine: the sequential oracles and the demo FW-BW have no
-            // stage structure to pipeline — the guard is polled exactly
-            // once at entry, the documented best effort for algorithms
-            // that cannot be interrupted mid-run.
-            driver::check_guard(guard)?;
-            Ok(detect_scc(g, algo, cfg))
+    let oracle: fn(&CsrGraph) -> SccResult = match algo {
+        Algorithm::Tarjan => tarjan::tarjan_scc,
+        Algorithm::Kosaraju => kosaraju::kosaraju_scc,
+        Algorithm::Pearce => pearce::pearce_scc,
+        parallel => {
+            let pipeline =
+                Pipeline::stock(parallel).expect("every parallel algorithm is a STOCK row");
+            return run_pipeline(g, &pipeline, cfg, guard);
         }
-    }
+    };
+    // engine: the sequential oracles have no stage structure to
+    // pipeline — the guard is polled exactly once at entry, the
+    // documented best effort for algorithms that cannot be interrupted
+    // mid-run.
+    driver::check_guard(guard)?;
+    Ok(instrument::timed_sequential(|| oracle(g)))
 }

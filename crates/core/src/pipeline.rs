@@ -6,8 +6,8 @@
 //! (Alg. 7) spliced into the same skeleton. This module makes that
 //! composition literal: each building block is a [`PhaseKernel`], a
 //! pipeline is a validated list of [`Stage`]s, and [`run_pipeline`] is the
-//! single engine loop that owns — exactly once — everything the five
-//! drivers used to copy-paste:
+//! single engine loop that owns — exactly once — everything a per-algorithm
+//! driver would otherwise copy-paste:
 //!
 //! * [`Collector`] phase timing and Fig. 7/8 resolution attribution,
 //! * interrupt polling at stage boundaries (`driver::check_interrupt`),
@@ -20,15 +20,17 @@
 //! * work-queue spin-up (including the Par-WCC groups → initial-tasks
 //!   hand-off).
 //!
-//! The five paper algorithms are rows in the stock pipeline table
-//! ([`Pipeline::stock`]); the legacy `*_scc_checked` entry points are
-//! one-line lookups into it, and the CLI's `--pipeline` flag runs any
-//! legal custom composition with the same per-phase breakdown for free.
+//! Every parallel [`Algorithm`](crate::Algorithm) is a row in the stock
+//! pipeline table ([`Pipeline::stock`]) that [`crate::run_checked`] looks
+//! up, and the CLI's `--pipeline` flag runs any legal custom composition
+//! with the same per-phase breakdown for free.
 //!
 //! # Legality rules
 //!
-//! [`Pipeline::new`] (and hence [`Pipeline::parse`]) rejects nonsense
-//! compositions; a [`Pipeline`] value is always runnable:
+//! [`Pipeline::new`] (and hence [`Pipeline::parse`] and
+//! [`Pipeline::stock`]) is the one implementation of these rules; it
+//! rejects nonsense compositions, so a [`Pipeline`] value is always
+//! runnable:
 //!
 //! 1. A pipeline has at least one stage.
 //! 2. The final stage is **terminal** — [`Stage::Tasks`],
@@ -46,14 +48,12 @@
 //! groups) run as no-ops rather than erroring: the rules reject *unsound*
 //! pipelines, not unprofitable ones.
 
-use crate::baseline::BASELINE_K;
 use crate::config::{PanicPolicy, PivotStrategy, SccConfig};
 use crate::driver;
 use crate::error::{RunGuard, SccError};
 use crate::fwbw::parallel::par_fwbw;
 use crate::fwbw::recursive::{seed_tasks, RecurContext, Task};
 use crate::instrument::{Collector, Phase, RecoveryEvent, RunReport};
-use crate::method2::METHOD2_K;
 use crate::multireach;
 use crate::result::SccResult;
 use crate::state::{AlgoState, Color, INITIAL_COLOR};
@@ -236,8 +236,17 @@ pub struct Pipeline {
     stages: Vec<Stage>,
 }
 
-/// The stock pipeline table: the five paper algorithms as stage lists.
+/// Paper work-queue batch size once Par-WCC multiplies the task count
+/// (Method 2, §4.3).
+const WCC_K: usize = 8;
+/// Paper work-queue batch size when the color scan seeds the queue
+/// (Baseline and Method 1, §4.3; FW-BW too).
+const SCAN_K: usize = 1;
+
+/// The stock pipeline table: every parallel [`crate::Algorithm`] as a
+/// stage list (the paper narrative for each row is on its variant).
 const STOCK: &[(crate::Algorithm, &[Stage])] = &[
+    (crate::Algorithm::FwBw, &[Stage::Tasks]),
     (crate::Algorithm::Baseline, &[Stage::Trim, Stage::Tasks]),
     (
         crate::Algorithm::Method1,
@@ -311,16 +320,12 @@ impl Pipeline {
         Pipeline::new(stages)
     }
 
-    /// The stock pipeline implementing `algo`, or `None` for the
-    /// sequential oracles and the demo FW-BW (which run outside the
-    /// engine).
+    /// The stock pipeline implementing `algo`, or `None` for the three
+    /// sequential oracles (which run outside the engine).
     pub fn stock(algo: crate::Algorithm) -> Option<Pipeline> {
-        STOCK
-            .iter()
-            .find(|(a, _)| *a == algo)
-            .map(|(_, stages)| Pipeline {
-                stages: stages.to_vec(),
-            })
+        STOCK.iter().find(|(a, _)| *a == algo).map(|(_, stages)| {
+            Pipeline::new(stages.to_vec()).expect("every STOCK row is a legal pipeline")
+        })
     }
 
     /// The validated stage list.
@@ -333,9 +338,9 @@ impl Pipeline {
     /// multiplies the task count (§4.3) and K = 1 otherwise.
     pub fn default_k(&self) -> usize {
         if self.stages.contains(&Stage::Wcc) {
-            METHOD2_K
+            WCC_K
         } else {
-            BASELINE_K
+            SCAN_K
         }
     }
 
@@ -1189,28 +1194,6 @@ mod tests {
     }
 
     #[test]
-    fn stock_table_covers_the_five_drivers() {
-        for algo in [
-            Algorithm::Baseline,
-            Algorithm::Method1,
-            Algorithm::Method2,
-            Algorithm::Coloring,
-            Algorithm::Multistep,
-        ] {
-            let p = Pipeline::stock(algo).expect("stock pipeline");
-            assert!(p.stages().last().unwrap().is_terminal());
-        }
-        for algo in [
-            Algorithm::Tarjan,
-            Algorithm::Kosaraju,
-            Algorithm::Pearce,
-            Algorithm::FwBw,
-        ] {
-            assert!(Pipeline::stock(algo).is_none());
-        }
-    }
-
-    #[test]
     fn stock_method2_matches_paper_composition() {
         let p = Pipeline::stock(Algorithm::Method2).unwrap();
         assert_eq!(
@@ -1225,10 +1208,10 @@ mod tests {
                 Stage::Tasks
             ]
         );
-        assert_eq!(p.default_k(), METHOD2_K);
+        assert_eq!(p.default_k(), WCC_K);
         assert_eq!(
             Pipeline::stock(Algorithm::Baseline).unwrap().default_k(),
-            BASELINE_K
+            SCAN_K
         );
     }
 

@@ -37,8 +37,6 @@ pub struct Config {
     /// Path prefix under which raw adjacency access is the backend's own
     /// business (rule `graphview` fires outside it).
     pub graph_crate: String,
-    /// The file holding the `STOCK` pipeline table (rule `pipeline`).
-    pub pipeline_file: String,
     /// Path prefixes outside the atomic-inventory scope (infrastructure
     /// that implements or tests the primitives rather than using them in
     /// algorithm protocols).
@@ -86,7 +84,6 @@ impl Default for Config {
             ],
             decode_hot_files: vec!["crates/graph/src/compressed.rs".to_string()],
             graph_crate: "crates/graph/".to_string(),
-            pipeline_file: "crates/core/src/pipeline.rs".to_string(),
             inventory_exempt,
             safety_tag_exempt,
             serve_paths: vec!["crates/serve/".to_string(), "src/bin/".to_string()],
@@ -215,7 +212,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(rules::safety_tag::SafetyTag),
         Box::new(rules::graphview::GraphViewDiscipline),
         Box::new(rules::delta::DeltaOverlay),
-        Box::new(rules::pipeline::PipelineLegality),
         Box::new(rules::must_use::DroppedReport),
         Box::new(rules::socket_timeout::SocketTimeout),
     ]

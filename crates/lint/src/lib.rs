@@ -4,8 +4,8 @@
 //! The repo's correctness story rests on discipline that `cargo test`
 //! cannot see: lock-free protocols justified ordering-by-ordering,
 //! unsafe decode loops anchored to validated invariants, kernels kept
-//! generic over both graph backends, pipeline stage lists that satisfy
-//! the engine's composition rules. This crate enforces all of it
+//! generic over both graph backends, recovery machinery confined to the
+//! pipeline engine. This crate enforces all of it
 //! mechanically, replacing the old regex/line-based `xtask audit` with a
 //! real lexer ([`lexer`]), item-level structure ([`source`]), a
 //! [`engine::Rule`] catalog ([`rules`]), text/JSON reporters

@@ -13,7 +13,6 @@ pub mod facade;
 pub mod graphview;
 pub mod inventory;
 pub mod must_use;
-pub mod pipeline;
 pub mod recovery;
 pub mod relaxed;
 pub mod safety_tag;

@@ -8,10 +8,10 @@
 //! marker multiset exactly: a missed marker and a stray finding are
 //! both failures.
 //!
-//! Two rules need purpose-built mini-workspaces instead of markers
-//! (their findings carry line 0): the atomic inventory and the
-//! missing-STOCK-table probe. A final test runs the engine over the
-//! real tree and asserts it is clean modulo the checked-in baseline.
+//! The atomic-inventory rule needs purpose-built mini-workspaces instead
+//! of markers (its findings carry line 0). A final test runs the engine
+//! over the real tree and asserts it is clean modulo the checked-in
+//! baseline.
 
 use std::path::{Path, PathBuf};
 
@@ -249,22 +249,6 @@ fn inventory_rule_strong_orderings_and_drift() {
     );
     let report = engine::run(&ws, Some("inventory"), &Baseline::empty());
     assert!(report.findings.is_empty(), "{:#?}", report.findings);
-}
-
-#[test]
-fn pipeline_rule_reports_a_missing_stock_table() {
-    let cfg = Config {
-        design_inventory: Some(String::new()),
-        ..Config::default()
-    };
-    let file = SourceFile::parse(
-        &cfg.pipeline_file.clone(),
-        "pub fn renamed_the_table() {}\n".to_string(),
-    );
-    let ws = Workspace::from_files(vec![file], cfg);
-    let report = engine::run(&ws, Some("pipeline"), &Baseline::empty());
-    assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
-    assert!(report.findings[0].message.contains("STOCK"));
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //! lexer + item-level parser and a rule catalog covering facade
 //! discipline, `Relaxed`/`unsafe`/recovery justifications, engine-only
 //! recovery, decode-path allocation, the DESIGN.md §8 atomic inventory,
-//! SAFETY invariant tags, GraphView backend discipline, static pipeline
-//! legality, and dropped-RunReport detection. See DESIGN.md §13 for the
+//! SAFETY invariant tags, GraphView backend discipline, and
+//! dropped-RunReport detection. See DESIGN.md §13 for the
 //! catalog and the suppression-baseline workflow.
 //!
 //! Exit codes: **0** clean, **1** findings, **2** usage error.

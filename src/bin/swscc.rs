@@ -452,9 +452,9 @@ USAGE:
            --pipeline trim,fwbw,trim,multisearch   (multi-pivot tail)
 --compressed: run the phase-pipeline engine on the byte-delta compressed
             CSR backend (~2x smaller); works with --pipeline or any
-            pipeline --algo (baseline method1 method2 coloring multistep),
-            not the sequential oracles. Prints the memory footprint of
-            the compressed form before the run.
+            parallel --algo (fwbw baseline method1 method2 coloring
+            multistep), not the sequential oracles. Prints the memory
+            footprint of the compressed form before the run.
 --timeout:  abort cleanly with exit code 124 after SECS wall-clock seconds
 --on-panic: fallback (default) absorbs worker panics by retrying or
             degrading to a sequential finish; fail exits 70 on first panic

@@ -120,6 +120,7 @@ fn cancel_unblocks_every_driver() {
         cancel_mid_run(Algorithm::Method2, "wcc-round", threads);
         cancel_mid_run(Algorithm::Coloring, "coloring-round", threads);
         cancel_mid_run(Algorithm::Multistep, "fwbw-superstep", threads);
+        cancel_mid_run(Algorithm::FwBw, "recur-task", threads);
     }
 }
 
@@ -147,6 +148,7 @@ fn expired_deadline_rejects_before_work() {
         Algorithm::Method2,
         Algorithm::Coloring,
         Algorithm::Multistep,
+        Algorithm::FwBw,
         // Sequential oracles go through the same guard check in
         // `run_checked`.
         Algorithm::Tarjan,

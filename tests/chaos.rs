@@ -2,7 +2,8 @@
 //! parallel driver.
 //!
 //! Each schedule is derived from a single `u64` seed by a splitmix64
-//! chain: seed → (driver, graph, thread count, panic policy, fault plan).
+//! chain: seed → (fault site, driver, graph, thread count, panic policy,
+//! fault plan).
 //! The run must either finish with Tarjan-identical components or return
 //! a clean typed [`SccError`] — never hang, never a wrong answer, never
 //! an unabsorbed panic.
@@ -49,6 +50,10 @@ enum Driver {
 /// the whole battery vacuous. `model-yield` is excluded: it only exists
 /// under `--cfg model`.
 const DRIVERS: &[(Driver, &[&str])] = &[
+    (
+        Driver::Algo(Algorithm::FwBw),
+        &["workqueue-task", "recur-task"],
+    ),
     (
         Driver::Algo(Algorithm::Baseline),
         &["trim-round", "workqueue-task", "recur-task"],
@@ -139,9 +144,29 @@ struct Schedule {
     plan: FaultPlan,
 }
 
+/// Every fault site some driver passes through, in a fixed order.
+fn all_sites() -> Vec<&'static str> {
+    let sites: std::collections::BTreeSet<&'static str> = DRIVERS
+        .iter()
+        .flat_map(|(_, sites)| sites.iter().copied())
+        .collect();
+    sites.into_iter().collect()
+}
+
 fn derive(seed: u64, num_graphs: usize) -> Schedule {
     let mut s = seed;
-    let (driver, sites) = DRIVERS[(splitmix64(&mut s) % DRIVERS.len() as u64) as usize];
+    // Site first, then a driver that passes through it: the vacuity
+    // guards are per site, so every site gets the same share of the
+    // schedules however few drivers reach it (`wcc-round` is Method 2's
+    // alone).
+    let sites = all_sites();
+    let site = sites[(splitmix64(&mut s) % sites.len() as u64) as usize];
+    let drivers: Vec<Driver> = DRIVERS
+        .iter()
+        .filter(|(_, driver_sites)| driver_sites.contains(&site))
+        .map(|&(driver, _)| driver)
+        .collect();
+    let driver = drivers[(splitmix64(&mut s) % drivers.len() as u64) as usize];
     let graph = (splitmix64(&mut s) % num_graphs as u64) as usize;
     let threads = [1, 2, 4][(splitmix64(&mut s) % 3) as usize];
     // Bias toward Fallback: it exercises the recovery machinery; Fail
@@ -151,7 +176,6 @@ fn derive(seed: u64, num_graphs: usize) -> Schedule {
     } else {
         PanicPolicy::Fallback
     };
-    let site = sites[(splitmix64(&mut s) % sites.len() as u64) as usize];
     // Early hits are the common case (small graphs converge in a handful
     // of rounds); a tail of later indices probes deeper into the run and
     // sometimes lands past the end — a legitimate no-fire schedule.

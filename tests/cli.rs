@@ -218,6 +218,43 @@ fn pipeline_matches_algo_via_cli() {
 }
 
 #[test]
+fn compressed_fwbw_agrees_with_tarjan_via_cli() {
+    let summary = |algo: &str, compressed: bool| {
+        let mut args = vec!["scc", "dataset:flickr", "--scale", "0.02", "--algo", algo];
+        if compressed {
+            args.push("--compressed");
+        }
+        let o = swscc(&args);
+        assert!(
+            o.status.success(),
+            "{algo} (compressed: {compressed}) failed: {}",
+            String::from_utf8_lossy(&o.stderr)
+        );
+        stdout(&o)
+            .lines()
+            .filter(|l| {
+                l.starts_with("components:")
+                    || l.starts_with("largest scc:")
+                    || l.starts_with("trivial:")
+            })
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    };
+    let want = summary("tarjan", false);
+    assert_eq!(want.len(), 3, "summary lines missing: {want:?}");
+    assert_eq!(summary("fwbw", true), want);
+}
+
+#[test]
+fn compressed_oracle_exits_config_code() {
+    // The sequential oracles index raw CSR slices: no compressed form.
+    let o = swscc(&["scc", "dataset:baidu", "--compressed", "--algo", "tarjan"]);
+    assert_eq!(o.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&o.stderr).into_owned();
+    assert!(err.contains("--compressed"), "stderr: {err}");
+}
+
+#[test]
 fn invalid_pipeline_exits_config_code() {
     // 'wcc' is not a terminal stage: composition is rejected up front.
     let o = swscc(&["scc", "dataset:baidu", "--pipeline", "trim,wcc"]);

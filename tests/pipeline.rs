@@ -1,15 +1,22 @@
 //! End-to-end pipeline tests: condensation, membership queries, reports,
-//! and the engine composition battery (`composition_*`) — every stock
-//! stage list plus a set of legal custom compositions must produce the
-//! Tarjan partition on every corpus graph at 1/2/4 threads, and illegal
+//! the stock stage table's legality and per-phase attribution, and the
+//! engine composition battery (`composition_*`) — every stock stage list
+//! plus a set of legal custom compositions must produce the Tarjan
+//! partition on every corpus graph at 1/2/4 threads, and illegal
 //! compositions must be rejected up front.
 
 use swscc::core::instrument::Phase;
 use swscc::graph::datasets::Dataset;
 use swscc::graph::gen::{bowtie, erdos_renyi, watts_strogatz, BowtieConfig};
 use swscc::{
-    detect_scc, run_pipeline, Algorithm, CsrGraph, Pipeline, PipelineError, RunGuard, SccConfig,
+    detect_scc, run_pipeline, Algorithm, CsrGraph, Pipeline, PipelineError, PivotStrategy,
+    RunGuard, RunReport, SccConfig, SccResult,
 };
+
+/// The stock stage list of every algorithm that has one.
+fn stock_pipelines() -> impl Iterator<Item = Pipeline> {
+    Algorithm::all().into_iter().filter_map(Pipeline::stock)
+}
 
 fn kahn_is_acyclic(dag: &CsrGraph) -> bool {
     let mut indeg: Vec<usize> = dag.nodes().map(|v| dag.in_degree(v)).collect();
@@ -150,6 +157,296 @@ fn sequential_oracles_report_shape() {
 }
 
 #[test]
+fn stock_table_is_legal_and_complete() {
+    // `Pipeline::stock` builds each row through `Pipeline::new`, so
+    // looking every algorithm up checks every row against the one
+    // implementation of the legality rules.
+    for algo in Algorithm::all() {
+        let oracle = matches!(
+            algo,
+            Algorithm::Tarjan | Algorithm::Kosaraju | Algorithm::Pearce
+        );
+        match Pipeline::stock(algo) {
+            None => assert!(oracle, "{} has no stock pipeline", algo.name()),
+            Some(p) => {
+                assert!(!oracle, "oracle {} has a stock pipeline", algo.name());
+                assert_eq!(
+                    Pipeline::parse(&p.to_string()).as_ref(),
+                    Ok(&p),
+                    "stock {} does not round-trip through its spec",
+                    algo.name()
+                );
+            }
+        }
+    }
+}
+
+/// A stock algorithm on a small graph whose phase attribution, queue
+/// seeding or config path no differential battery sees: `check` holds
+/// the assertions about the run's result and report.
+struct AttributionCase {
+    name: &'static str,
+    algo: Algorithm,
+    graph: CsrGraph,
+    cfg: SccConfig,
+    check: fn(&CsrGraph, &SccResult, &RunReport),
+}
+
+/// A giant 3-cycle with 8 satellite 3-cycles hanging off node 0 (OUT
+/// side). 3-cycles survive Trim and Trim2, so they reach the WCC step,
+/// which splits them into 8 independent work items; the
+/// degree-product pivot lands on hub node 0.
+fn satellite_cycles() -> CsrGraph {
+    let mut edges: Vec<(u32, u32)> = vec![(0, 1), (1, 2), (2, 0)];
+    let mut next = 3u32;
+    for _ in 0..8 {
+        edges.push((0, next)); // attach
+        edges.push((next, next + 1));
+        edges.push((next + 1, next + 2));
+        edges.push((next + 2, next));
+        next += 3;
+    }
+    CsrGraph::from_edges(next as usize, &edges)
+}
+
+fn attribution_cases() -> Vec<AttributionCase> {
+    let max_degree_product = |threads| SccConfig {
+        pivot: PivotStrategy::MaxDegreeProduct,
+        ..SccConfig::with_threads(threads)
+    };
+    vec![
+        AttributionCase {
+            // On a DAG the trim phase must resolve everything; the
+            // recursive phase gets no work (the Patents observation, §5).
+            name: "baseline::dag_fully_trimmed",
+            algo: Algorithm::Baseline,
+            graph: CsrGraph::from_edges(5, &[(4, 3), (3, 2), (2, 1), (1, 0), (4, 1)]),
+            cfg: SccConfig::with_threads(2),
+            check: |_, r, report| {
+                assert_eq!(r.num_components(), 5);
+                assert_eq!(report.resolved_in(Phase::ParTrim), 5);
+                assert_eq!(report.resolved_in(Phase::RecurFwbw), 0);
+                assert_eq!(report.initial_tasks, 0);
+            },
+        },
+        AttributionCase {
+            name: "baseline::queue_stats_populated",
+            algo: Algorithm::Baseline,
+            graph: CsrGraph::from_edges(4, &[(0, 1), (1, 0), (2, 3), (3, 2)]),
+            cfg: SccConfig::with_threads(1),
+            check: |_, _, report| {
+                assert!(report.queue.tasks_executed >= 1);
+                assert_eq!(
+                    report.initial_tasks, 1,
+                    "one color 0 partition seeds phase 2"
+                );
+            },
+        },
+        AttributionCase {
+            // A 50-cycle dominates a 100-node graph: Par-FWBW must claim
+            // it, and the OUT tendrils go to the first trim.
+            name: "method1::giant_scc_resolved_in_parallel_phase",
+            algo: Algorithm::Method1,
+            graph: {
+                let mut edges: Vec<(u32, u32)> = (0..50u32).map(|i| (i, (i + 1) % 50)).collect();
+                edges.extend((50..100u32).map(|i| (0, i)));
+                CsrGraph::from_edges(100, &edges)
+            },
+            cfg: SccConfig::with_threads(2),
+            check: |_, r, report| {
+                assert_eq!(r.largest_component_size(), 50);
+                assert_eq!(report.resolved_in(Phase::ParFwbw), 50);
+                assert_eq!(report.resolved_in(Phase::ParTrim), 50);
+                assert!(report.fwbw_trials >= 1);
+            },
+        },
+        AttributionCase {
+            // giant {0,1,2}; the pair 5 <-> 6 reachable from it survives
+            // trim and peel and is resolved in phase 2; 3 -> 4 -> 0 trims.
+            name: "method1::post_peel_trim_fires",
+            algo: Algorithm::Method1,
+            graph: CsrGraph::from_edges(
+                7,
+                &[
+                    (0, 1),
+                    (1, 2),
+                    (2, 0),
+                    (0, 5),
+                    (5, 6),
+                    (6, 5),
+                    (3, 4),
+                    (4, 0),
+                ],
+            ),
+            cfg: SccConfig::with_threads(2),
+            check: |_, r, report| {
+                // components: giant {0,1,2}, pair {5,6}, singletons {3} and {4}
+                assert_eq!(r.num_components(), 4);
+                let mut sizes = r.component_sizes();
+                sizes.sort_unstable();
+                assert_eq!(sizes, vec![1, 1, 2, 3]);
+                let total: usize = report.phase_resolved.iter().map(|(_, n)| n).sum();
+                assert_eq!(total, 7);
+            },
+        },
+        AttributionCase {
+            name: "method2::wcc_splits_satellites_into_tasks",
+            algo: Algorithm::Method2,
+            graph: satellite_cycles(),
+            cfg: max_degree_product(2),
+            check: |_, r, report| {
+                assert_eq!(r.num_components(), 9);
+                assert_eq!(report.resolved_in(Phase::ParFwbw), 3, "peel got the giant");
+                // Each satellite 3-cycle is a separate WCC => a separate task.
+                assert_eq!(report.initial_tasks, 8);
+                assert_eq!(report.resolved_in(Phase::RecurFwbw), 24);
+            },
+        },
+        AttributionCase {
+            // Pair chain hanging off a giant cycle, plus a pendant (node 7)
+            // that makes node 0 the unambiguous degree-product pivot:
+            //   {0,1,2} cycle; 0 -> (3<->4) -> (5<->6); 0 -> 7.
+            name: "method2::trim2_contributes",
+            algo: Algorithm::Method2,
+            graph: CsrGraph::from_edges(
+                8,
+                &[
+                    (0, 1),
+                    (1, 2),
+                    (2, 0),
+                    (0, 3),
+                    (3, 4),
+                    (4, 3),
+                    (4, 5),
+                    (5, 6),
+                    (6, 5),
+                    (0, 7),
+                ],
+            ),
+            cfg: max_degree_product(1),
+            check: |_, r, report| {
+                assert_eq!(r.num_components(), 4); // {0,1,2}, {3,4}, {5,6}, {7}
+                assert_eq!(
+                    report.resolved_in(Phase::ParTrim),
+                    1,
+                    "pendant 7 trims first"
+                );
+                assert_eq!(report.resolved_in(Phase::ParFwbw), 3, "giant peeled");
+                // Both pairs fall to the Trim′ block (pattern a for {3,4}
+                // once the giant is gone; pattern b for the chain-end {5,6}).
+                assert_eq!(report.resolved_in(Phase::ParTrim2), 4);
+                assert_eq!(report.resolved_in(Phase::RecurFwbw), 0);
+            },
+        },
+        AttributionCase {
+            name: "method2::color_only_ablation_still_correct",
+            algo: Algorithm::Method2,
+            graph: CsrGraph::from_edges(6, &[(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (4, 5)]),
+            cfg: SccConfig {
+                hybrid_sets: false,
+                ..SccConfig::with_threads(2)
+            },
+            check: |g, r, _| {
+                let (want, _) = detect_scc(g, Algorithm::Tarjan, &SccConfig::default());
+                assert_eq!(r.canonical_labels(), want.canonical_labels());
+            },
+        },
+        AttributionCase {
+            // The row above is resolved by Trim, the peel and Trim2 before
+            // any task runs; here the WCC groups do reach the queue, as
+            // color-only tasks.
+            name: "method2::color_only_tasks_from_wcc_groups",
+            algo: Algorithm::Method2,
+            graph: satellite_cycles(),
+            cfg: SccConfig {
+                hybrid_sets: false,
+                ..max_degree_product(2)
+            },
+            check: |g, r, report| {
+                let (want, _) = detect_scc(g, Algorithm::Tarjan, &SccConfig::default());
+                assert_eq!(r.canonical_labels(), want.canonical_labels());
+                assert_eq!(report.initial_tasks, 8);
+                assert_eq!(report.resolved_in(Phase::RecurFwbw), 24);
+            },
+        },
+        AttributionCase {
+            // A 3-chain of 2-cycles takes multiple rounds: each round
+            // peels the classes whose roots are maximal.
+            name: "coloring::round_count_reported",
+            algo: Algorithm::Coloring,
+            graph: CsrGraph::from_edges(
+                6,
+                &[
+                    (5, 4),
+                    (4, 5),
+                    (4, 3),
+                    (3, 2),
+                    (2, 3),
+                    (2, 1),
+                    (1, 0),
+                    (0, 1),
+                ],
+            ),
+            cfg: SccConfig::with_threads(1),
+            check: |_, r, report| {
+                assert_eq!(r.num_components(), 3);
+                assert!(report.fwbw_trials >= 1, "rounds = {}", report.fwbw_trials);
+            },
+        },
+        AttributionCase {
+            name: "coloring::dag_fully_trimmed_zero_rounds",
+            algo: Algorithm::Coloring,
+            graph: CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]),
+            cfg: SccConfig::with_threads(2),
+            check: |_, r, report| {
+                assert_eq!(r.num_components(), 5);
+                assert_eq!(report.fwbw_trials, 0, "trim leaves nothing to color");
+            },
+        },
+        AttributionCase {
+            // Hub-heavy cycle so the degree-product pivot lands inside it.
+            name: "multistep::giant_scc_taken_by_peel",
+            algo: Algorithm::Multistep,
+            graph: {
+                let n = 2000u32;
+                let mut edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+                edges.extend((0..200u32).map(|i| (0, n + i))); // tendrils
+                CsrGraph::from_edges((n + 200) as usize, &edges)
+            },
+            cfg: SccConfig::with_threads(2),
+            check: |_, r, report| {
+                assert_eq!(r.largest_component_size(), 2000);
+                assert_eq!(report.resolved_in(Phase::ParFwbw), 2000);
+                assert_eq!(report.resolved_in(Phase::ParTrim), 200);
+            },
+        },
+        AttributionCase {
+            // Worst case for pure FW-BW: a DAG means one task per node.
+            name: "fwbw_only::every_node_resolved_on_dag",
+            algo: Algorithm::FwBw,
+            graph: CsrGraph::from_edges(50, &(0..49u32).map(|i| (i, i + 1)).collect::<Vec<_>>()),
+            cfg: SccConfig::with_threads(2),
+            check: |_, r, report| {
+                assert_eq!(r.num_components(), 50);
+                assert_eq!(report.resolved_in(Phase::RecurFwbw), 50);
+                assert_eq!(report.resolved_in(Phase::ParTrim), 0, "no trim ran");
+                // every singleton cost its own task
+                assert!(report.queue.tasks_executed >= 50);
+            },
+        },
+    ]
+}
+
+#[test]
+fn stock_pipelines_attribute_phases_as_documented() {
+    for case in attribution_cases() {
+        eprintln!("attribution case: {}", case.name);
+        let (r, report) = detect_scc(&case.graph, case.algo, &case.cfg);
+        (case.check)(&case.graph, &r, &report);
+    }
+}
+
+#[test]
 fn algorithm_names_round_trip() {
     for a in Algorithm::all() {
         assert_eq!(Algorithm::from_name(a.name()), Some(a));
@@ -206,14 +503,7 @@ fn assert_composition_matches_tarjan(spec: &str) {
 
 #[test]
 fn composition_stock_pipelines_match_tarjan() {
-    for algo in [
-        Algorithm::Baseline,
-        Algorithm::Method1,
-        Algorithm::Method2,
-        Algorithm::Coloring,
-        Algorithm::Multistep,
-    ] {
-        let pipeline = Pipeline::stock(algo).expect("parallel algorithms have stock pipelines");
+    for pipeline in stock_pipelines() {
         assert_composition_matches_tarjan(&pipeline.to_string());
     }
 }
@@ -424,6 +714,12 @@ fn compressed_stock_coloring_matches_tarjan() {
 #[test]
 fn compressed_stock_multistep_matches_tarjan() {
     let p = Pipeline::stock(Algorithm::Multistep).unwrap();
+    assert_compressed_composition_matches_tarjan(&p.to_string());
+}
+
+#[test]
+fn compressed_stock_fwbw_matches_tarjan() {
+    let p = Pipeline::stock(Algorithm::FwBw).unwrap();
     assert_compressed_composition_matches_tarjan(&p.to_string());
 }
 
