@@ -110,11 +110,15 @@ pub struct SccConfig {
     /// cheap while a giant SCC may still dominate the residue; the
     /// doubling blankets a residue of many small SCCs in O(log) rounds.
     pub multisearch_batch: usize,
-    /// Vertex budget of one incremental repair: a back-edge merge search
-    /// or a delete-dirty residue larger than this degrades to a full
-    /// recompute (the incremental engine's correctness does not depend
-    /// on the value — only how much work a single mutation may localize
-    /// before the batch pipeline is cheaper anyway).
+    /// Work budget of one incremental repair, beyond which it degrades
+    /// to a full recompute. A back-edge insert counts the condensation
+    /// edges its two-way search scans, so a merge beside or into a giant
+    /// SCC pays that SCC's condensation degree, not its size; an
+    /// intra-SCC delete counts the nodes its reachability check visits
+    /// and the nodes of the residue it re-runs. The incremental engine's
+    /// correctness does not depend on the value — only how much work a
+    /// single mutation may localize before the batch pipeline is
+    /// cheaper anyway.
     pub incremental_residue_limit: usize,
 }
 

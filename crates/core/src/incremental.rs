@@ -14,18 +14,21 @@
 //! * **Insert, in order** (`pos[scc(u)] < pos[scc(v)]`, or intra-SCC):
 //!   the current order already proves acyclicity — O(1); only the
 //!   condensation overlay records the new edge.
-//! * **Insert, back edge**: bounded bidirectional discovery on the
-//!   condensation, restricted to the position window
-//!   `[pos[scc(v)], pos[scc(u)]]` (the Pearce–Kelly affected region,
-//!   arXiv cs/0608010 applied at SCC granularity): forward from `v`,
-//!   backward from `u`, expanding whole components via their member
-//!   lists. The intersection is the merge set — collapsed into its
-//!   largest component, whose condensation edges stay put while the
-//!   others' move onto it — and the region's positions are reassigned
-//!   B-side from the bottom of the old position pool, F-side from the
-//!   top, which preserves every constraint against untouched components
-//!   (B-side never moves up, F-side never moves down, and edges from
-//!   outside the window are outside the pool's range entirely).
+//! * **Insert, back edge** (`pos[scc(u)] > pos[scc(v)]`): a two-way
+//!   ordered search on the maintained condensation (Haeupler, Kavitha,
+//!   Mathew, Sen & Tarjan, ACM TALG 8(1), 2012), never on the members'
+//!   graph adjacency: forward from `scc(v)` in increasing position,
+//!   backward from `scc(u)` in decreasing position, one component per
+//!   side per step, until the forward frontier's lowest position passes
+//!   the backward frontier's highest. Only the components the search
+//!   pops move: the merge set (every component on a `v ⇝ u` path)
+//!   collapses into its largest member, whose condensation edges stay
+//!   put while the others' move onto it, and the popped components are
+//!   re-placed around the point where the searches crossed — see
+//!   `IncrementalEngine::back_edge` for why no other component has to
+//!   move. The search's budget counts condensation edges scanned, so a
+//!   merge next to (or into) a giant SCC costs that SCC's condensation
+//!   degree, not its size.
 //! * **Delete, cross-component**: removing a graph edge between
 //!   components cannot create a cycle or break the order. The
 //!   condensation edge goes only with the last graph edge between the
@@ -49,13 +52,15 @@
 //!   edges with the parts'.
 //!
 //! Any mutation whose affected region exceeds
-//! [`SccConfig::incremental_residue_limit`] degrades to a full rebuild —
-//! correctness never depends on the bound, only the work ceiling.
+//! [`SccConfig::incremental_residue_limit`] — condensation edges
+//! scanned for a back edge, nodes for a delete — degrades to a full
+//! rebuild; correctness never depends on the bound, only the work
+//! ceiling.
 //!
 //! # Failure containment
 //!
 //! The back-edge merge passes the `incr-merge` fault point *after*
-//! discovery and *before* the first label write, so a kill there leaves
+//! every read and *before* the first write, so a kill there leaves
 //! the partition state exactly as it was. The serve layer catches the
 //! panic, marks the engine poisoned ([`IncrementalEngine::poison`]), and
 //! the next operation heals through a full rebuild over the (already
@@ -67,7 +72,8 @@ use crate::pipeline::{run_pipeline, Pipeline};
 use crate::shared::{topo_ranks, POS_GAP};
 use crate::snapshot::SccSnapshot;
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use swscc_graph::bfs::Direction;
 use swscc_graph::delta::CompactBackend;
 use swscc_graph::{CsrGraph, DeltaGraph, GraphView, NodeId};
@@ -82,8 +88,8 @@ pub enum MutationOutcome {
     /// O(1) fast path: the mutation could not change any component
     /// (in-order insert, intra-SCC insert, cross-component delete).
     InOrder,
-    /// A back edge that created no cycle; the affected region's
-    /// topological positions were reassigned (Pearce–Kelly), components
+    /// A back edge that created no cycle; the components its search
+    /// popped were re-placed in the topological order, components
     /// unchanged.
     Reordered,
     /// A back edge closed a cycle; `merged` components collapsed into
@@ -162,6 +168,8 @@ pub struct IncrementalEngine<G: CompactBackend> {
     counters: EngineCounters,
     /// Visit marks and frontiers of the intra-SCC delete check.
     survival: SurvivalScratch,
+    /// Heaps, marks and lists of the back-edge search.
+    order: OrderScratch,
 }
 
 /// Reusable state of [`IncrementalEngine::still_reaches`], kept between
@@ -177,6 +185,70 @@ struct SurvivalScratch {
     frontier: [Vec<NodeId>; 2],
     /// The level being built.
     next: Vec<NodeId>,
+}
+
+/// Reusable state of [`IncrementalEngine::back_edge`], kept between
+/// back edges so one allocates nothing once the arrays fit.
+#[derive(Default)]
+struct OrderScratch {
+    marks: Marks,
+    /// Forward frontier, lowest position first, and backward frontier,
+    /// highest first, as `(position, component)`.
+    forward: BinaryHeap<Reverse<(u64, u32)>>,
+    backward: BinaryHeap<(u64, u32)>,
+    /// Components popped forward, in increasing position, and popped
+    /// backward, in decreasing position; cut down to X and Y once the
+    /// search stops.
+    fwd: Vec<(u64, u32)>,
+    bwd: Vec<(u64, u32)>,
+    /// The merge set.
+    merge: Vec<u32>,
+    /// The moved components in their new order.
+    run: Vec<u32>,
+}
+
+/// Per-component marks of one back-edge search.
+const SEEN_FWD: u8 = 1;
+const SEEN_BWD: u8 = 2;
+const IN_M: u8 = 4;
+
+/// Component flags with a generation: `flags[c]` counts only while
+/// `stamps[c] == current`, so a new search clears every mark in O(1).
+#[derive(Default)]
+struct Marks {
+    stamps: Vec<u32>,
+    flags: Vec<u8>,
+    current: u32,
+}
+
+impl Marks {
+    /// Clears every mark, sized for `ids` component ids.
+    fn begin(&mut self, ids: usize) {
+        if self.stamps.len() < ids {
+            self.stamps.resize(ids, 0);
+            self.flags.resize(ids, 0);
+        }
+        // A wrap clears the array for real.
+        if self.current == u32::MAX {
+            self.stamps.fill(0);
+            self.current = 0;
+        }
+        self.current += 1;
+    }
+
+    /// Whether `c` carries any of `flags`.
+    fn has(&self, c: u32, flags: u8) -> bool {
+        self.stamps[c as usize] == self.current && self.flags[c as usize] & flags != 0
+    }
+
+    fn mark(&mut self, c: u32, flag: u8) {
+        let c = c as usize;
+        if self.stamps[c] != self.current {
+            self.stamps[c] = self.current;
+            self.flags[c] = 0;
+        }
+        self.flags[c] |= flag;
+    }
 }
 
 impl<G: CompactBackend> IncrementalEngine<G> {
@@ -202,6 +274,7 @@ impl<G: CompactBackend> IncrementalEngine<G> {
             poisoned: false,
             counters: EngineCounters::default(),
             survival: SurvivalScratch::default(),
+            order: OrderScratch::default(),
         };
         engine.index_view();
         Ok(engine)
@@ -504,119 +577,282 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         }
     }
 
-    /// Component-granular reachability sweep restricted to the position
-    /// window `[lb, ub]`, expanding whole components via member lists.
-    /// Returns `None` when the visited-vertex budget is exhausted.
-    fn window_search(
-        &self,
-        start: u32,
-        lb: u64,
-        ub: u64,
-        dir: Direction,
+    /// The two-way ordered search for an order-violating insert
+    /// `cu -> cv` (`pos[cv] < pos[cu]`), on the maintained condensation
+    /// (which does not hold the new edge yet): forward from `cv`, lowest
+    /// position first, keeping successors at or below `pos[cu]`;
+    /// backward from `cu`, highest position first, keeping predecessors
+    /// at or above `pos[cv]`. Each step polls `guard` and pops one
+    /// component per side, forward first; the search stops as soon as
+    /// the forward frontier's minimum `f*` exceeds the backward
+    /// frontier's maximum `b*` (an empty frontier counts as +∞ / −∞).
+    /// Leaves the pops in `order.fwd` (increasing position) and
+    /// `order.bwd` (decreasing) and returns the split point
+    /// `s = min(f*, pos[cu]) - 1`, or `None` once more than `limit`
+    /// condensation edges were scanned.
+    ///
+    /// Every condensation edge goes up in position, so each side pops
+    /// in position order. So when the search stops, every component
+    /// reachable from `cv` below `f*` was popped forward, and every
+    /// component reaching `cu` above `b*` — so every one above `s` — was
+    /// popped backward. The one exception is a forward side that runs
+    /// dry on its first pop: then `s = pos[cu] - 1`, `cu` is the only
+    /// component above `s` that reaches it, and it is listed as popped
+    /// without scanning its predecessors — a reorder next to a giant
+    /// SCC does not pay the giant's in-degree.
+    fn ordered_search(
+        &mut self,
+        cu: u32,
+        cv: u32,
         limit: usize,
         guard: &RunGuard,
-    ) -> Result<Option<FxHashSet<u32>>, SccError> {
-        let mut seen: FxHashSet<u32> = FxHashSet::default();
-        seen.insert(start);
-        let mut stack = vec![start];
-        let mut budget = 0usize;
-        while let Some(c) = stack.pop() {
+    ) -> Result<Option<u64>, SccError> {
+        let Self {
+            view,
+            order,
+            next_label,
+            ..
+        } = self;
+        let (lb, ub) = (
+            view.positions.get(cv as usize),
+            view.positions.get(cu as usize),
+        );
+        let OrderScratch {
+            marks,
+            forward,
+            backward,
+            fwd,
+            bwd,
+            ..
+        } = order;
+        marks.begin(*next_label as usize);
+        forward.clear();
+        backward.clear();
+        fwd.clear();
+        bwd.clear();
+        marks.mark(cv, SEEN_FWD);
+        forward.push(Reverse((lb, cv)));
+        marks.mark(cu, SEEN_BWD);
+        backward.push((ub, cu));
+        let crossed = |forward: &BinaryHeap<Reverse<(u64, u32)>>,
+                       backward: &BinaryHeap<(u64, u32)>| {
+            match (forward.peek(), backward.peek()) {
+                (Some(&Reverse((f, _))), Some(&(b, _))) => f > b,
+                _ => true,
+            }
+        };
+        let mut scanned = 0usize;
+        while !crossed(forward, backward) {
             guard.check()?;
-            let members = &self.members[&c];
-            budget += members.len();
-            if budget > limit {
+            let Reverse((p, c)) = forward.pop().expect("not crossed");
+            fwd.push((p, c));
+            view.condensation.for_each_successor_while(c, |w| {
+                scanned += 1;
+                if !marks.has(w, SEEN_FWD) {
+                    let pw = view.positions.get(w as usize);
+                    if pw <= ub {
+                        marks.mark(w, SEEN_FWD);
+                        forward.push(Reverse((pw, w)));
+                    }
+                }
+                scanned <= limit
+            });
+            if scanned > limit {
                 return Ok(None);
             }
-            for &m in members {
-                self.graph.for_each_neighbor(dir, m, |w| {
-                    let cw = self.label(w);
-                    if !seen.contains(&cw) && (lb..=ub).contains(&self.pos(cw)) {
-                        seen.insert(cw);
-                        stack.push(cw);
+            if crossed(forward, backward) {
+                break;
+            }
+            let (p, c) = backward.pop().expect("not crossed");
+            bwd.push((p, c));
+            view.condensation.for_each_predecessor(c, |x| {
+                scanned += 1;
+                if !marks.has(x, SEEN_BWD) {
+                    let px = view.positions.get(x as usize);
+                    if px >= lb {
+                        marks.mark(x, SEEN_BWD);
+                        backward.push((px, x));
                     }
-                });
+                }
+            });
+            if scanned > limit {
+                return Ok(None);
             }
         }
-        Ok(Some(seen))
+        if bwd.is_empty() {
+            bwd.push((ub, cu));
+        }
+        let f_star = forward.peek().map_or(ub, |&Reverse((f, _))| f.min(ub));
+        Ok(Some(f_star - 1))
     }
 
-    /// The Pearce–Kelly affected-region pass for an order-violating
-    /// insert `scc(u)=cu -> scc(v)=cv` with `pos[cu] > pos[cv]`: discover
-    /// forward/backward regions, collapse the cycle set if there is one,
-    /// reassign the region's positions from its own old position pool.
+    /// Repairs an order-violating insert `scc(u)=cu -> scc(v)=cv`
+    /// (`pos[cv] < pos[cu]`) after an
+    /// [`ordered_search`](Self::ordered_search) that stopped at split
+    /// point `s`. Two coverage facts carry it:
+    ///
+    /// * X, the components popped forward at or below `s`, holds every
+    ///   component reachable from `cv` at or below `s`;
+    /// * Y, the components popped backward above `s`, holds every
+    ///   component that reaches `cu` above `s`.
+    ///
+    /// The merge set M (every component on a `cv ⇝ cu` path) lies in
+    /// X ∪ Y, and is found over adjacency the search already scanned:
+    ///
+    /// * (a) the part of Y that `cv` reaches, in one ascending pass. A
+    ///   member of Y is in it when the forward search discovered it (it
+    ///   has a predecessor in X), or when a predecessor is already in it
+    ///   — checked only once the part is non-empty;
+    /// * (b) the part of X that reaches M, in one descending pass over
+    ///   X's successors.
+    ///
+    /// M is empty unless it holds `cu`, and then collapses into its
+    /// largest component.
+    ///
+    /// Then Y∖M, M's representative and X∖M, each in its old order,
+    /// move into the gap between the nearest unmoved occupied positions
+    /// around `s`, and nothing else moves. No edge breaks:
+    ///
+    /// * an unmoved component with an edge into X lies below it, so at
+    ///   or below `s`; one with an edge into Y reaches `cu`, so it lies
+    ///   at or below `s` too, or it would be in Y;
+    /// * an unmoved component with an edge out of Y lies above it, so
+    ///   above `s`; one with an edge out of X is reachable from `cv`, so
+    ///   it lies above `s` too, or it would be in X;
+    /// * inside the run, old edges keep their old order; none runs from
+    ///   Y to X (Y lies above `s`, X at or below); an edge from X∖M or M
+    ///   into Y∖M, or from X∖M into M, would put its source or target in
+    ///   M; and the new edge runs from Y to X, or inside M.
+    ///
+    /// When the gap has too few free values, one global renumbering
+    /// places the run at `s`. Member lists are read only for M: to pick
+    /// the representative and to relabel the rest.
     fn back_edge(
         &mut self,
         cu: u32,
         cv: u32,
         guard: &RunGuard,
     ) -> Result<MutationOutcome, SccError> {
-        let lb = self.pos(cv);
-        let ub = self.pos(cu);
         let limit = self.cfg.incremental_residue_limit.max(1);
-        let Some(rf) = self.window_search(cv, lb, ub, Direction::Forward, limit, guard)? else {
+        let Some(s) = self.ordered_search(cu, cv, limit, guard)? else {
             return self.degrade(guard);
         };
-        let Some(rb) = self.window_search(cu, lb, ub, Direction::Backward, limit, guard)? else {
-            return self.degrade(guard);
-        };
-        // Merge set: components on some v ->* u path (cv ->* C ->* cu).
-        let merge: Vec<u32> = rf.intersection(&rb).copied().collect();
-        let mut b_side: Vec<u32> = rb.difference(&rf).copied().collect();
-        let mut f_side: Vec<u32> = rf.difference(&rb).copied().collect();
-        b_side.sort_unstable_by_key(|&c| self.pos(c));
-        f_side.sort_unstable_by_key(|&c| self.pos(c));
-        let mut pool: Vec<u64> = rf.union(&rb).map(|&c| self.pos(c)).collect();
-        pool.sort_unstable();
-
+        let Self {
+            view,
+            order,
+            members,
+            occupied,
+            ..
+        } = self;
+        let cond = &view.condensation;
+        let OrderScratch {
+            marks,
+            fwd,
+            bwd,
+            merge,
+            run,
+            ..
+        } = order;
+        fwd.truncate(fwd.partition_point(|&(p, _)| p <= s));
+        bwd.truncate(bwd.partition_point(|&(p, _)| p > s));
+        // (a) Y reached from `cv`, ascending: a predecessor of `y` that
+        // `cv` reaches is in X at or below `s` — and X's successors were
+        // all discovered forward — and in M above it.
+        merge.clear();
+        for &(_, y) in bwd.iter().rev() {
+            let mut reached = marks.has(y, SEEN_FWD);
+            if !reached && !merge.is_empty() {
+                cond.for_each_predecessor(y, |x| reached |= marks.has(x, IN_M));
+            }
+            if reached {
+                marks.mark(y, IN_M);
+                merge.push(y);
+            }
+        }
+        // (b) X reaching M, descending. `cu` tops Y, so it is in M
+        // exactly when `cv` reaches it.
+        if marks.has(cu, IN_M) {
+            for &(_, x) in fwd.iter().rev() {
+                let mut reaches = false;
+                cond.for_each_successor_while(x, |w| {
+                    reaches = marks.has(w, IN_M);
+                    !reaches
+                });
+                if reaches {
+                    marks.mark(x, IN_M);
+                    merge.push(x);
+                }
+            }
+        }
         let merged = merge.len();
         // The largest merged component keeps its id, so the fewest
         // labels (and label pages) change.
         let rep = merge
             .iter()
             .copied()
-            .max_by_key(|c| (self.members[c].len(), *c))
+            .max_by_key(|c| (members[c].len(), *c))
             .unwrap_or(cu);
+        let unmerged = |&(_, c): &(u64, u32)| (!marks.has(c, IN_M)).then_some(c);
+        run.clear();
+        run.extend(bwd.iter().rev().filter_map(unmerged));
         if merged > 0 {
-            // recovery: commit point of the merge — discovery above is
-            // read-only, every write happens below, so a kill here
-            // (injected incr-merge fault) leaves the maintained
-            // partition untouched; the serve layer poisons the engine
-            // and heals by rebuild while the old epoch keeps serving.
+            run.push(rep);
+        }
+        run.extend(fwd.iter().filter_map(unmerged));
+        // The nearest unmoved occupied positions around `s`: X fills
+        // some of the occupied positions at or below `s`, Y some above.
+        let mut xs = fwd.iter().rev().map(|&(p, _)| p).peekable();
+        let lo = occupied
+            .range(..=s)
+            .rev()
+            .copied()
+            .find(|&p| xs.next_if_eq(&p).is_none())
+            .unwrap_or(0);
+        let mut ys = bwd.iter().rev().map(|&(p, _)| p).peekable();
+        let hi = occupied
+            .range(s + 1..)
+            .copied()
+            .find(|&p| ys.next_if_eq(&p).is_none())
+            .unwrap_or(u64::MAX);
+        let merge = std::mem::take(merge);
+        let run = std::mem::take(run);
+        if merged > 0 {
+            // recovery: commit point of the merge — the search and the
+            // placement above are read-only, every write happens below,
+            // so a kill here (injected incr-merge fault) leaves the
+            // maintained partition untouched; the serve layer poisons
+            // the engine and heals by rebuild while the old epoch keeps
+            // serving.
             fault::point(fault::INCR_MERGE);
             self.merge_condensation(&merge, rep);
-            let mut absorbed: Vec<NodeId> = Vec::new();
             for &c in &merge {
                 if c == rep {
                     continue;
                 }
-                let members = self.members.remove(&c).expect("merge set is live");
-                for &m in &members {
+                let absorbed = self.members.remove(&c).expect("merge set is live");
+                for &m in &absorbed {
                     self.view.labels.set(m as usize, rep);
                 }
-                absorbed.extend(members);
+                self.members
+                    .get_mut(&rep)
+                    .expect("representative is live")
+                    .extend(absorbed);
             }
-            self.members
-                .get_mut(&rep)
-                .expect("representative is live")
-                .extend(absorbed);
         }
-        // Reassign: B-side packs the bottom of the pool (never moves
-        // up), F-side packs the top (never moves down), the merged
-        // component sits between them; leftover middle values retire
-        // with the components they belonged to.
-        for &p in &pool {
+        for &(p, _) in self.order.fwd.iter().chain(&self.order.bwd) {
             self.occupied.remove(&p);
         }
-        let nf = f_side.len();
-        for (i, &c) in b_side.iter().enumerate() {
-            self.set_pos(c, pool[i]);
+        let k = run.len() as u64;
+        if hi - lo > k {
+            let step = (hi - lo) / (k + 1);
+            for (i, &c) in run.iter().enumerate() {
+                self.set_pos(c, lo + step * (i as u64 + 1));
+            }
+        } else {
+            self.renumber(&run, s);
         }
-        if merged > 0 {
-            self.set_pos(rep, pool[b_side.len()]);
-        }
-        for (i, &c) in f_side.iter().enumerate() {
-            self.set_pos(c, pool[pool.len() - nf + i]);
-        }
+        self.order.merge = merge;
+        self.order.run = run;
         if merged > 0 {
             self.counters.merges += 1;
             Ok(MutationOutcome::Merged { merged })
@@ -629,8 +865,9 @@ impl<G: CompactBackend> IncrementalEngine<G> {
 
     /// Moves every condensation edge of the merge set onto `rep`, and
     /// drops the edges inside the set. Costs the condensation degree of
-    /// the merged-away components — at most the adjacency the window
-    /// searches already walked — and touches only the overlay.
+    /// the merged-away components — never `rep`'s, so a merge into the
+    /// giant SCC does not scan the giant's edges again — and touches
+    /// only the overlay.
     fn merge_condensation(&mut self, merge: &[u32], rep: u32) {
         let in_merge: FxHashSet<u32> = merge.iter().copied().collect();
         let cond = &mut self.view.condensation;
@@ -797,7 +1034,7 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         }
         // Local gap exhausted by earlier splits: restore POS_GAP spacing
         // everywhere (need ≤ residue limit ≪ POS_GAP) and re-read.
-        self.renumber();
+        self.renumber(&[], 0);
         self.neighbors_of(self.pos(c))
     }
 
@@ -814,12 +1051,29 @@ impl<G: CompactBackend> IncrementalEngine<G> {
     }
 
     /// Global renumbering: every component's position becomes
-    /// `rank * POS_GAP` in the current order, restoring full gaps.
-    fn renumber(&mut self) {
-        let mut order: Vec<(u64, u32)> = self.members.keys().map(|&c| (self.pos(c), c)).collect();
+    /// `rank * POS_GAP`, restoring full gaps. The order is the current
+    /// one, except that the components of `run` leave their places and
+    /// go, in `run` order, right after every other component positioned
+    /// at or below `at`.
+    fn renumber(&mut self, run: &[u32], at: u64) {
+        let moved: FxHashSet<u32> = run.iter().copied().collect();
+        let mut order: Vec<(u64, u32)> = self
+            .members
+            .keys()
+            .filter(|c| !moved.contains(c))
+            .map(|&c| (self.pos(c), c))
+            .collect();
         order.sort_unstable();
+        let cut = order.partition_point(|&(p, _)| p <= at);
+        let (below, above) = order.split_at(cut);
+        let ids: Vec<u32> = below
+            .iter()
+            .map(|&(_, c)| c)
+            .chain(run.iter().copied())
+            .chain(above.iter().map(|&(_, c)| c))
+            .collect();
         self.occupied.clear();
-        for (rank, (_, c)) in order.into_iter().enumerate() {
+        for (rank, c) in ids.into_iter().enumerate() {
             self.set_pos(c, (rank as u64 + 1) * POS_GAP);
         }
     }
@@ -952,6 +1206,60 @@ mod tests {
         assert_eq!(out, MutationOutcome::Merged { merged: 6 });
         assert_eq!(e.num_components(), 1);
         assert_matches_oracle(&e);
+    }
+
+    /// Each back edge `order[i] -> order[i-1]` re-places two singletons
+    /// into the gap below the component the previous move left there,
+    /// so that one gap shrinks by a third per move. With the real
+    /// `POS_GAP` it runs dry after about 55 moves, and the global
+    /// renumbering puts the run at the split point instead.
+    #[test]
+    fn moves_into_one_gap_fall_back_to_a_renumber() {
+        let guard = RunGuard::new();
+        let n = 80;
+        let mut e = engine(n, &[]);
+        let mut order: Vec<NodeId> = (0..n as NodeId).collect();
+        order.sort_by_key(|&x| e.pos(e.label(x)));
+        let aligned = |e: &IncrementalEngine<CsrGraph>| {
+            e.members.keys().all(|&c| e.pos(c).is_multiple_of(POS_GAP))
+        };
+        let (mut narrowed, mut renumbered_at) = (false, None);
+        for i in 1..n {
+            assert_eq!(
+                e.insert_edge(order[i], order[i - 1], &guard).unwrap(),
+                MutationOutcome::Reordered
+            );
+            assert_matches_oracle(&e);
+            if !aligned(&e) {
+                narrowed = true;
+            } else if narrowed && renumbered_at.is_none() {
+                renumbered_at = Some(i);
+            }
+        }
+        let at = renumbered_at.expect("the gap ran dry and a renumbering restored POS_GAP");
+        assert!(at >= 40, "renumbered after only {at} moves");
+        let c = e.counters();
+        assert_eq!((c.reorders, c.full_rebuilds), (n as u64 - 1, 0), "{c:?}");
+    }
+
+    /// A merge next to a component reads that component's condensation
+    /// edges, not its members: with a budget of 8, a search whose window
+    /// holds a 40-node SCC still merges.
+    #[test]
+    fn back_edge_budget_counts_condensation_edges() {
+        let guard = RunGuard::new();
+        // 0 -> 1 -> 2 -> 3, and 0 -> the ring {4..44}.
+        let mut edges: Vec<(NodeId, NodeId)> = vec![(0, 1), (1, 2), (2, 3), (0, 4)];
+        edges.extend((4..44).map(|i| (i, if i == 43 { 4 } else { i + 1 })));
+        let mut e = engine_with_limit(44, &edges, 8);
+        let out = e.insert_edge(3, 0, &guard).unwrap();
+        assert_eq!(out, MutationOutcome::Merged { merged: 4 });
+        assert_eq!(e.counters().full_rebuilds, 0);
+        assert_matches_oracle(&e);
+        assert!(
+            e.order.marks.stamps.len() >= e.next_label as usize,
+            "the search keeps its marks for the next back edge"
+        );
     }
 
     #[test]

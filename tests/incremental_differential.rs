@@ -12,7 +12,10 @@
 //! after *every* mutation, so the O(1) in-order path, the bounded
 //! merge, and the dirty-residue repair are each diffed at their finest
 //! granularity. A compaction at the end must be invisible to the
-//! partition.
+//! partition. Two bow-tie analogs of a small-world graph add scripted
+//! coverage below the giant SCC's size as residue limit: deletes inside
+//! the giant SCC (certified, not re-run) and inserts that merge
+//! tendrils into it (searched on the condensation, not rebuilt).
 
 use proptest::prelude::*;
 use swscc::core::incremental::{EngineCounters, IncrementalEngine, Mutation};
@@ -260,8 +263,32 @@ fn parallel_edge_delete_keeps_the_condensation_edge() {
     });
 }
 
-/// Nodes in the giant SCC of [`bow_tie`].
+/// Nodes in the giant SCC of [`bow_tie`] and [`bow_tie_merges`].
 const CORE: u32 = 192;
+
+/// Nodes on each side (IN, OUT) of [`bow_tie`]'s giant SCC.
+const SIDE: u32 = 3 * 12;
+
+/// Edges of a test graph.
+type Edges = Vec<(u32, u32)>;
+
+/// The giant SCC [`bow_tie`] and [`bow_tie_merges`] share: a ring of
+/// [`CORE`] nodes with two random chords per node. Returns its edges
+/// and the chords.
+fn giant_ring(s: &mut u64) -> (Edges, Edges) {
+    let mut edges: Edges = (0..CORE).map(|i| (i, (i + 1) % CORE)).collect();
+    let mut chords = Vec::new();
+    for i in 0..CORE {
+        for _ in 0..2 {
+            let j = (splitmix64(s) % u64::from(CORE)) as u32;
+            if j != i && j != (i + 1) % CORE && !chords.contains(&(i, j)) {
+                chords.push((i, j));
+            }
+        }
+    }
+    edges.extend(&chords);
+    (edges, chords)
+}
 
 /// A bow-tie analog of a small-world graph, and a delete-heavy script
 /// over it. The giant SCC is a ring of [`CORE`] nodes with two random
@@ -271,19 +298,8 @@ const CORE: u32 = 192;
 /// (each splits its cycle) and IN/OUT attachments (cross-component),
 /// and now and then puts a deleted chord back.
 fn bow_tie(seed: u64) -> (CsrGraph, Vec<(bool, u32, u32)>) {
-    const SIDE: u32 = 3 * 12;
     let (n, mut s) = (CORE + 2 * SIDE, seed);
-    let mut edges: Vec<(u32, u32)> = (0..CORE).map(|i| (i, (i + 1) % CORE)).collect();
-    let mut chords = Vec::new();
-    for i in 0..CORE {
-        for _ in 0..2 {
-            let j = (splitmix64(&mut s) % u64::from(CORE)) as u32;
-            if j != i && j != (i + 1) % CORE && !chords.contains(&(i, j)) {
-                chords.push((i, j));
-            }
-        }
-    }
-    edges.extend(&chords);
+    let (mut edges, mut chords) = giant_ring(&mut s);
     let (mut cycle_edges, mut attachments) = (Vec::new(), Vec::new());
     for t in (CORE..n).step_by(3) {
         cycle_edges.extend([(t, t + 1), (t + 1, t + 2), (t + 2, t)]);
@@ -359,4 +375,98 @@ fn exhausted_check_budget_falls_back_to_a_rebuild() {
         let c = run_script(g, &script, 1, 1, 4);
         assert!(c.full_rebuilds > 0 && c.splits > 0, "{c:?}");
     });
+}
+
+/// Tendrils on each side (IN, OUT) of [`bow_tie_merges`]'s giant SCC.
+const TENDRILS: u32 = 24;
+
+/// A bow-tie with many tendrils, and an insert-only script over it
+/// that keeps closing cycles through the giant SCC. The giant SCC is
+/// [`giant_ring`]; [`TENDRILS`] IN tendrils feed it and as many OUT
+/// tendrils hang off it, alternating 3-cycles and singletons, and a
+/// few edges run from tendril to tendril on each side. The script
+/// inserts OUT -> IN edges (each closes a cycle through the giant
+/// SCC), giant -> IN and OUT -> giant edges (each pulls a tendril in),
+/// and IN -> IN and OUT -> OUT edges (reorders, or merges of
+/// tendrils).
+fn bow_tie_merges(seed: u64) -> (CsrGraph, Vec<(bool, u32, u32)>) {
+    let mut s = seed;
+    let (mut edges, _) = giant_ring(&mut s);
+    // The first node of each tendril, IN side then OUT side.
+    let mut sides: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
+    let mut next = CORE;
+    for (side, firsts) in sides.iter_mut().enumerate() {
+        for t in 0..TENDRILS {
+            let first = next;
+            if t % 2 == 0 {
+                edges.extend([
+                    (first, first + 1),
+                    (first + 1, first + 2),
+                    (first + 2, first),
+                ]);
+                next += 3;
+            } else {
+                next += 1;
+            }
+            let core = (splitmix64(&mut s) % u64::from(CORE)) as u32;
+            edges.push(if side == 0 {
+                (first, core)
+            } else {
+                (core, first)
+            });
+            firsts.push(first);
+        }
+    }
+    let pick = |v: &[u32], s: &mut u64| v[(splitmix64(s) % v.len() as u64) as usize];
+    let giant = |s: &mut u64| (splitmix64(s) % u64::from(CORE)) as u32;
+    // Tendril-to-tendril edges in id order keep every tendril acyclic.
+    for side in &sides {
+        for _ in 0..TENDRILS / 2 {
+            let (a, b) = (pick(side, &mut s), pick(side, &mut s));
+            if a != b {
+                edges.push((a.min(b), a.max(b)));
+            }
+        }
+    }
+    let g = CsrGraph::from_edges(next as usize, &edges);
+    let [ins, outs] = &sides;
+    let script = (0..120)
+        .map(|step| {
+            let (u, v) = match step % 6 {
+                0 => (pick(outs, &mut s), pick(ins, &mut s)),
+                1 => (giant(&mut s), pick(ins, &mut s)),
+                2 => (pick(outs, &mut s), giant(&mut s)),
+                3 | 4 => (pick(ins, &mut s), pick(ins, &mut s)),
+                _ => (pick(outs, &mut s), pick(outs, &mut s)),
+            };
+            (true, u, v)
+        })
+        .collect();
+    (g, script)
+}
+
+/// Inserts that close cycles through the giant SCC merge tendrils into
+/// it, and inserts between tendrils reorder them, with a back-edge
+/// budget below the giant SCC's size: the budget counts condensation
+/// edges scanned, so no insert degrades to a full rebuild. Diffed
+/// against Tarjan at every batch boundary.
+#[test]
+fn merges_through_the_giant_scc_stay_incremental() {
+    let limit = CORE as usize / 2;
+    for seed in [1u64, 2, 3] {
+        let (g, script) = bow_tie_merges(seed);
+        for threads in [1usize, 2] {
+            with_pool(threads, || {
+                for batch in [1usize, 16] {
+                    for c in [
+                        run_script(g.clone(), &script, threads, batch, limit),
+                        run_script(CompressedCsr::from_csr(&g), &script, threads, batch, limit),
+                    ] {
+                        assert!(c.merges >= 10 && c.reorders > 0, "seed {seed}: {c:?}");
+                        assert_eq!(c.full_rebuilds, 0, "seed {seed}: {c:?}");
+                    }
+                }
+            });
+        }
+    }
 }

@@ -11,6 +11,10 @@
 //!   write nothing shared — no label or position page, no condensation
 //!   overlay entry — and allocate the same bytes whether the component
 //!   has 1k or 16k nodes.
+//! * A back-edge merge of two small SCCs whose position window holds a
+//!   large SCC must merge without a full rebuild and allocate the same
+//!   bytes whether that SCC has 1k or 16k nodes: the search walks the
+//!   condensation, never the large SCC's members.
 //! * `condensation_reach` must allocate nothing per query, counted by
 //!   the per-thread counting allocator this test binary installs.
 
@@ -259,6 +263,76 @@ fn certified_intra_scc_delete_writes_nothing_shared_and_allocates_o1() {
         assert_eq!(
             small, large,
             "a certified delete allocated bytes that grow with the component"
+        );
+    });
+}
+
+/// Bytes allocated by a back-edge merge of two small SCCs whose
+/// position window holds a `k`-node SCC, after one warm-up merge sized
+/// the engine's search state.
+///
+/// Two gadgets `i` share the `k`-node SCC `G` (a ring with skip chords
+/// `j -> j + 2`): a 3-cycle `A_i` feeds `G` and the singleton `P_i`,
+/// which feeds the 3-cycle `B_i`. The chain puts `B_i` a layer after
+/// `G`, so `A_i < G < B_i` in position, and inserting `B_i -> A_i`
+/// merges `{A_i, P_i, B_i}` with `G` popped by the forward search.
+fn merge_beside_bytes(k: u32) -> u64 {
+    let guard = RunGuard::new();
+    let gadget = |i: u32| -> [u32; 3] { [7 * i, 7 * i + 3, 7 * i + 4] };
+    let giant = 14;
+    let mut edges = Vec::new();
+    for i in 0..2 {
+        let [a, p, b] = gadget(i);
+        edges.extend([(a, a + 1), (a + 1, a + 2), (a + 2, a)]);
+        edges.extend([(b, b + 1), (b + 1, b + 2), (b + 2, b)]);
+        edges.extend([(a, giant), (a, p), (p, b)]);
+    }
+    edges.extend((0..k).map(|j| (giant + j, giant + (j + 1) % k)));
+    edges.extend((0..k).map(|j| (giant + j, giant + (j + 2) % k)));
+    let mut cfg = SccConfig::with_threads(2);
+    // Below the large SCC's size: a search that read its members would
+    // run out of budget and degrade to a full rebuild.
+    cfg.incremental_residue_limit = 512;
+    let mut e = IncrementalEngine::new(
+        DeltaGraph::new(CsrGraph::from_edges((giant + k) as usize, &edges)),
+        Pipeline::stock(Algorithm::Method2).expect("stock pipeline"),
+        cfg,
+        &guard,
+    )
+    .expect("initial build");
+    assert_eq!(e.num_components(), 7);
+    let merged = MutationOutcome::Merged { merged: 3 };
+    let [a0, _, b0] = gadget(0);
+    assert_eq!(e.insert_edge(b0, a0, &guard).unwrap(), merged);
+    let before = e.snapshot(&guard).unwrap();
+    let [a1, _, b1] = gadget(1);
+    let pos = |n: u32| {
+        let c = before.scc_id(n).expect("in range");
+        before.positions().get(c as usize)
+    };
+    assert!(
+        pos(a1) < pos(giant) && pos(giant) < pos(b1),
+        "the large SCC lies inside the merge's position window"
+    );
+    let (outcome, bytes) = allocated_by(|| e.insert_edge(b1, a1, &guard).unwrap());
+    assert_eq!(outcome, merged);
+    let after = e.snapshot(&guard).unwrap();
+    assert!(after.condensation().shares_base_with(before.condensation()));
+    assert_eq!(after.same_scc(a1, b1), Some(true));
+    assert_eq!(after.same_scc(a1, giant), Some(false));
+    let c = e.counters();
+    assert_eq!((c.merges, c.full_rebuilds), (2, 0), "{c:?}");
+    bytes
+}
+
+#[test]
+fn merge_beside_a_large_scc_allocates_the_same_at_any_size() {
+    with_pool(2, || {
+        let small = merge_beside_bytes(1_000);
+        let large = merge_beside_bytes(16_000);
+        assert_eq!(
+            small, large,
+            "a back-edge merge allocated bytes that grow with an SCC in its window"
         );
     });
 }
