@@ -53,11 +53,9 @@ fn bench_thread_scaling(c: &mut Criterion) {
 /// The "RMAT tail" workload: `blocks` disjoint small R-MAT fabrics. The
 /// trim+fwbw prefix resolves one block's core SCC and the acyclic
 /// fringe; the residue is thousands of small-to-medium SCCs in a single
-/// color partition — the power-law SCC tail of §2.2/Fig. 2, and the
-/// shape that separates the two terminal stages: the task queue walks it
-/// as a serial chain of remainder tasks (re-partitioning the shrinking
-/// residue each time), while multi-search resolves a doubling batch of
-/// pivots per round.
+/// color partition — the power-law SCC tail of §2.2/Fig. 2, which the
+/// task queue walks as a serial chain of remainder tasks
+/// (re-partitioning the shrinking residue each time).
 fn rmat_tail(blocks: usize, scale: u32, seed: u64) -> swscc_graph::CsrGraph {
     let n_block = 1usize << scale;
     let mut edges = Vec::new();
@@ -73,10 +71,8 @@ fn rmat_tail(blocks: usize, scale: u32, seed: u64) -> swscc_graph::CsrGraph {
 fn bench_pipeline_ablation(c: &mut Criterion) {
     // Custom compositions through the pipeline engine: stock Method 2
     // against stage-dropping ablations, isolating what each stage buys,
-    // plus the tail shoot-out — after the same trim,fwbw,trim prefix,
-    // does the residue go faster through the two-level task queue or the
-    // multi-pivot reachability kernel? The rmat-tail workload is the
-    // interesting row: see [`rmat_tail`].
+    // plus the task-queue tail after the trim,fwbw,trim prefix. The
+    // rmat-tail workload is the interesting row: see [`rmat_tail`].
     let mut group = c.benchmark_group("pipeline-ablation");
     group.sample_size(10);
     let specs = [
@@ -85,7 +81,6 @@ fn bench_pipeline_ablation(c: &mut Criterion) {
         ("drop-wcc", "trim,fwbw,trim,trim2,trim,tasks"),
         ("queue-only", "tasks"),
         ("tasks-tail", "trim,fwbw,trim,tasks"),
-        ("multisearch-tail", "trim,fwbw,trim,multisearch"),
     ];
     let workloads: Vec<(&str, swscc_graph::CsrGraph)> = vec![
         ("livej", Dataset::Livej.generate(0.02, 42)),

@@ -41,7 +41,7 @@ fn report_footprint(label: &str, g: &CsrGraph, z: &CompressedCsr) {
 }
 
 /// The decode tax in isolation: the same EdgeMap BFS (the traversal
-/// kernel under trim, FW-BW, WCC, and multi-search) on raw `u32` slices
+/// kernel under trim, FW-BW, and WCC) on raw `u32` slices
 /// vs chunk-decoded VarInt streams. Throughput is edges/second, so the
 /// two bars are directly comparable.
 ///

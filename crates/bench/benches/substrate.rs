@@ -1,11 +1,9 @@
 //! Criterion microbenchmarks: runtime substrate (work queue, bitset,
-//! frontier, the `EdgeMap` traversal kernel) and the distributed BSP
-//! pipeline.
+//! frontier, the `EdgeMap` traversal kernel).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rayon::prelude::*;
 use std::hint::black_box;
-use swscc_distributed::dist_scc;
 use swscc_graph::bfs::{self, Direction, UNREACHED};
 use swscc_graph::datasets::Dataset;
 use swscc_graph::{CsrGraph, NodeId};
@@ -184,27 +182,11 @@ fn bench_frontier(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_distributed(c: &mut Criterion) {
-    let mut group = c.benchmark_group("distributed");
-    group.sample_size(10);
-    let g = Dataset::Livej.generate(0.05, 42);
-    for workers in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("dist-scc", workers), &workers, |b, &w| {
-            b.iter(|| {
-                let (r, _) = dist_scc(black_box(&g), w);
-                black_box(r.num_components())
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_workqueue,
     bench_bitset,
     bench_frontier,
-    bench_edge_map_bfs,
-    bench_distributed
+    bench_edge_map_bfs
 );
 criterion_main!(benches);

@@ -105,11 +105,6 @@ pub struct SccConfig {
     /// on correct kernels; 0 trips every watchdog on its first round
     /// (test hook for the non-convergence path).
     pub watchdog_factor: usize,
-    /// First-round pivot batch size for the `multisearch` stage; the
-    /// batch doubles every round. Small first batches keep early rounds
-    /// cheap while a giant SCC may still dominate the residue; the
-    /// doubling blankets a residue of many small SCCs in O(log) rounds.
-    pub multisearch_batch: usize,
     /// Work budget of one incremental repair, beyond which it degrades
     /// to a full recompute. A back-edge insert counts the condensation
     /// edges its two-way search scans, so a merge beside or into a giant
@@ -140,7 +135,6 @@ impl Default for SccConfig {
             live_set_compaction: CompactionPolicy::Auto,
             on_panic: PanicPolicy::Fallback,
             watchdog_factor: 4,
-            multisearch_batch: 8,
             incremental_residue_limit: 1 << 16,
         }
     }
@@ -189,7 +183,6 @@ mod tests {
         assert_eq!(c.live_set_compaction, CompactionPolicy::Auto);
         assert_eq!(c.on_panic, PanicPolicy::Fallback);
         assert_eq!(c.watchdog_factor, 4);
-        assert_eq!(c.multisearch_batch, 8);
         assert_eq!(c.incremental_residue_limit, 1 << 16);
     }
 

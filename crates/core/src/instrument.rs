@@ -88,15 +88,6 @@ pub enum RecoveryEvent {
         /// The caught panic text.
         message: String,
     },
-    /// A multi-search round panicked before touching shared state (the
-    /// searches only write round-local tables), so the intact residue
-    /// was handed to the two-level work-queue tail instead.
-    DegradedToQueue {
-        /// The caught panic text.
-        message: String,
-        /// Alive nodes handed to the work-queue tail.
-        residue: usize,
-    },
 }
 
 /// Everything measured during one SCC run.
@@ -186,9 +177,6 @@ impl std::fmt::Display for RunReport {
                     "degraded to sequential finish on residue"
                 }
                 RecoveryEvent::RestartedSequential { .. } => "restarted sequentially from scratch",
-                RecoveryEvent::DegradedToQueue { .. } => {
-                    "degraded to work-queue tail after search panic"
-                }
             };
             writeln!(f, "  recovery: {what}")?;
         }

@@ -54,7 +54,6 @@ pub mod fwbw;
 pub mod incremental;
 pub mod instrument;
 pub mod kosaraju;
-pub mod multireach;
 pub mod pearce;
 pub mod pipeline;
 pub mod result;

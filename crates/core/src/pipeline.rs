@@ -34,9 +34,8 @@
 //!
 //! 1. A pipeline has at least one stage.
 //! 2. The final stage is **terminal** — [`Stage::Tasks`],
-//!    [`Stage::Coloring`], [`Stage::Serial`], or [`Stage::Multisearch`] —
-//!    because only the terminal kernels guarantee every remaining node is
-//!    resolved.
+//!    [`Stage::Coloring`], or [`Stage::Serial`] — because only the
+//!    terminal kernels guarantee every remaining node is resolved.
 //! 3. Terminal stages appear *only* in final position (anything after one
 //!    would be dead code).
 //! 4. [`Stage::Fwbw`] / [`Stage::Peel`] never follow a re-partitioning
@@ -48,13 +47,12 @@
 //! groups) run as no-ops rather than erroring: the rules reject *unsound*
 //! pipelines, not unprofitable ones.
 
-use crate::config::{PanicPolicy, PivotStrategy, SccConfig};
+use crate::config::{PivotStrategy, SccConfig};
 use crate::driver;
 use crate::error::{RunGuard, SccError};
 use crate::fwbw::parallel::par_fwbw;
 use crate::fwbw::recursive::{seed_tasks, RecurContext, Task};
-use crate::instrument::{Collector, Phase, RecoveryEvent, RunReport};
-use crate::multireach;
+use crate::instrument::{Collector, Phase, RunReport};
 use crate::result::SccResult;
 use crate::state::{AlgoState, Color, INITIAL_COLOR};
 use crate::trim::par_trim;
@@ -108,15 +106,11 @@ pub enum Stage {
     Serial,
     /// Recursive FW-BW over the two-level work queue (Alg. 5; terminal).
     Tasks,
-    /// Multi-pivot reachability rounds (Wang et al., arXiv 2303.04934):
-    /// batches of pivots searched forward+backward in one hash-bag BFS,
-    /// reach sets intersected to resolve many SCCs per round (terminal).
-    Multisearch,
 }
 
 impl Stage {
     /// Every stage, in the order used by documentation and diagnostics.
-    pub fn all() -> [Stage; 10] {
+    pub fn all() -> [Stage; 9] {
         [
             Stage::Trim,
             Stage::Fwbw,
@@ -127,7 +121,6 @@ impl Stage {
             Stage::ColorTail,
             Stage::Serial,
             Stage::Tasks,
-            Stage::Multisearch,
         ]
     }
 
@@ -143,7 +136,6 @@ impl Stage {
             Stage::ColorTail => "colortail",
             Stage::Serial => "serial",
             Stage::Tasks => "tasks",
-            Stage::Multisearch => "multisearch",
         }
     }
 
@@ -155,10 +147,7 @@ impl Stage {
     /// Whether this stage guarantees every remaining alive node is
     /// resolved when it returns (and may therefore end a pipeline).
     pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            Stage::Tasks | Stage::Coloring | Stage::Serial | Stage::Multisearch
-        )
+        matches!(self, Stage::Tasks | Stage::Coloring | Stage::Serial)
     }
 
     /// Whether this stage re-colors the residue into fresh partitions,
@@ -208,7 +197,7 @@ impl std::fmt::Display for PipelineError {
             PipelineError::NotTerminal(s) => write!(
                 f,
                 "final stage `{s}` does not resolve the whole residue; end with \
-                 one of tasks, coloring, serial, multisearch"
+                 one of tasks, coloring, serial"
             ),
             PipelineError::TerminalNotLast(s) => write!(
                 f,
@@ -370,7 +359,6 @@ impl Pipeline {
                     Stage::ColorTail => Box::new(ColorTailKernel),
                     Stage::Serial => Box::new(SerialKernel),
                     Stage::Tasks => Box::new(TasksKernel),
-                    Stage::Multisearch => Box::new(MultiSearchKernel),
                 }
             })
             .collect()
@@ -702,178 +690,34 @@ impl<G: GraphView> PhaseKernel<G> for TasksKernel {
         state: &AlgoState<'_, G>,
         ctx: &mut PipelineCtx<'_>,
     ) -> Result<PhaseOutcome, StageError> {
-        run_task_tail(state, ctx)
-    }
-}
-
-/// The recursive work-queue tail shared by [`TasksKernel`] and the
-/// [`MultiSearchKernel`] degrade path: seed tasks (from stashed Par-WCC
-/// groups or a fresh color scan), run the two-level queue under the
-/// boundary-recovery loop, surface the stats.
-fn run_task_tail<G: GraphView>(
-    state: &AlgoState<'_, G>,
-    ctx: &mut PipelineCtx<'_>,
-) -> Result<PhaseOutcome, StageError> {
-    let cfg = ctx.cfg;
-    let tasks: Vec<Task> = match ctx.groups.take() {
-        Some(groups) => groups
-            .into_iter()
-            .map(|(color, members)| {
-                if cfg.hybrid_sets {
-                    Task::WithMembers { color, members }
-                } else {
-                    Task::ColorOnly { color }
-                }
-            })
-            .collect(),
-        None => seed_tasks(state, cfg),
-    };
-    ctx.initial_tasks = tasks.len();
-    let queue: TwoLevelQueue<Task> = TwoLevelQueue::from_tasks(cfg.resolve_k(ctx.k_default), tasks);
-    let rctx = RecurContext::new(state, ctx.collector, cfg);
-    match driver::run_queue_with_recovery(&queue, &rctx, cfg) {
-        Ok(res) => {
-            ctx.queue_stats = res.stats;
-            Ok(PhaseOutcome {
-                resolved: res.resolved,
-            })
-        }
-        Err(driver::DriverError::Fatal(e)) => Err(StageError::Fatal(e)),
-        Err(driver::DriverError::DirtyRestart(message)) => Err(StageError::Dirty(message)),
-    }
-}
-
-/// [`Stage::Multisearch`]: multi-pivot reachability rounds over the live
-/// residue (terminal) — see [`crate::multireach`].
-///
-/// Each round picks a pivot batch (doubling per round from
-/// [`SccConfig::multisearch_batch`]), runs the forward and backward
-/// hash-bag multi-searches, and resolves every vertex that landed in a
-/// pivot's SCC. Composite kernel: searches are attributed to
-/// [`Phase::ParFwbw`] and the resolve pass to [`Phase::RecurFwbw`],
-/// mirroring the Coloring rounds' report shape.
-///
-/// Self-recovering, with an asymmetric policy rooted in what each half
-/// touches. The *searches* only read shared state (all writes go to
-/// round-local tables and bags), so a panic there is clean: under
-/// [`PanicPolicy::Fallback`] the kernel records a
-/// [`RecoveryEvent::DegradedToQueue`] and finishes the intact residue on
-/// the two-level work-queue tail ([`run_task_tail`]). The *resolve pass*
-/// writes component claims, so a panic there may split an SCC across the
-/// resolved divide and surfaces as [`StageError::Dirty`] (full
-/// sequential restart), like any data-parallel kernel.
-struct MultiSearchKernel;
-
-impl<G: GraphView> PhaseKernel<G> for MultiSearchKernel {
-    fn name(&self) -> &'static str {
-        "multisearch"
-    }
-    fn phase(&self) -> Option<Phase> {
-        None
-    }
-    fn self_recovering(&self) -> bool {
-        true
-    }
-    fn run(
-        &self,
-        state: &AlgoState<'_, G>,
-        ctx: &mut PipelineCtx<'_>,
-    ) -> Result<PhaseOutcome, StageError> {
         let cfg = ctx.cfg;
-        let n = state.num_nodes();
-        // One winner slot per node, allocated once and reset over the
-        // (shrinking) alive list each round by `resolve_round`.
-        let winner: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
-        let mut total = 0usize;
-        let mut round = 0u32;
-        // Every round resolves at least its pivots' SCCs (each pivot is
-        // in both of its own reach sets), so rounds ≤ n.
-        let mut watchdog = state.watchdog("multisearch-rounds", n + 1);
-        loop {
-            if watchdog.check().is_some() {
-                break;
-            }
-            state.compact_live(cfg.live_set_compaction);
-            let alive = state.collect_alive();
-            if alive.is_empty() {
-                break;
-            }
-            // The batch doubles each round: early rounds stay cheap while
-            // the residue may still hold one big SCC that a single pivot
-            // resolves; later rounds blanket a residue of many small SCCs.
-            let batch = cfg
-                .multisearch_batch
-                .saturating_mul(1usize << round.min(16));
-            round += 1;
-            let pivots = multireach::pick_pivots(&alive, batch);
-            let pivot_colors: Vec<Color> = pivots.iter().map(|&p| state.color(p)).collect();
-
-            let searched = ctx.collector.phase(Phase::ParFwbw, || {
-                let out = driver::catch_phase(|| {
-                    swscc_sync::fault::point("multisearch-round");
-                    let fwd = multireach::multi_search(
-                        state,
-                        &alive,
-                        &pivots,
-                        &pivot_colors,
-                        true,
-                        cfg.threads,
-                    );
-                    let bwd = multireach::multi_search(
-                        state,
-                        &alive,
-                        &pivots,
-                        &pivot_colors,
-                        false,
-                        cfg.threads,
-                    );
-                    (fwd, bwd)
-                });
-                (0, out)
-            });
-            let (fwd, bwd) = match searched {
-                Ok(tables) => tables,
-                Err(message) => {
-                    if cfg.on_panic == PanicPolicy::Fail {
-                        return Err(StageError::Fatal(SccError::WorkerPanic { message }));
+        let tasks: Vec<Task> = match ctx.groups.take() {
+            Some(groups) => groups
+                .into_iter()
+                .map(|(color, members)| {
+                    if cfg.hybrid_sets {
+                        Task::WithMembers { color, members }
+                    } else {
+                        Task::ColorOnly { color }
                     }
-                    ctx.collector
-                        .record_recovery(RecoveryEvent::DegradedToQueue {
-                            message,
-                            residue: alive.len(),
-                        });
-                    let out = run_task_tail(state, ctx)?;
-                    return Ok(PhaseOutcome {
-                        resolved: total + out.resolved,
-                    });
-                }
-            };
-            if state.should_stop() {
-                // The searches bailed early, so the tables may be partial
-                // and must not drive resolution. The engine surfaces the
-                // abort below.
-                break;
+                })
+                .collect(),
+            None => seed_tasks(state, cfg),
+        };
+        ctx.initial_tasks = tasks.len();
+        let queue: TwoLevelQueue<Task> =
+            TwoLevelQueue::from_tasks(cfg.resolve_k(ctx.k_default), tasks);
+        let rctx = RecurContext::new(state, ctx.collector, cfg);
+        match driver::run_queue_with_recovery(&queue, &rctx, cfg) {
+            Ok(res) => {
+                ctx.queue_stats = res.stats;
+                Ok(PhaseOutcome {
+                    resolved: res.resolved,
+                })
             }
-
-            let resolved = ctx.collector.phase(Phase::RecurFwbw, || {
-                let out = driver::catch_phase(|| {
-                    multireach::resolve_round(state, &alive, &pivots, &fwd, &bwd, &winner)
-                });
-                (*out.as_ref().unwrap_or(&0), out)
-            });
-            match resolved {
-                Ok(k) => total += k,
-                Err(message) => return Err(StageError::Dirty(message)),
-            }
+            Err(driver::DriverError::Fatal(e)) => Err(StageError::Fatal(e)),
+            Err(driver::DriverError::DirtyRestart(message)) => Err(StageError::Dirty(message)),
         }
-        driver::check_interrupt(state).map_err(StageError::Fatal)?;
-        // ordering: driver-thread statistic (between stages, before the
-        // into_report load) — the round count lands in the trials slot
-        // like the Coloring rounds do.
-        ctx.collector
-            .fwbw_trials
-            .fetch_add(round as usize, Ordering::Relaxed);
-        Ok(PhaseOutcome { resolved: total })
     }
 }
 
@@ -1246,10 +1090,6 @@ mod tests {
             Err(PipelineError::TerminalNotLast(Stage::Coloring))
         );
         assert_eq!(
-            Pipeline::parse("multisearch,tasks"),
-            Err(PipelineError::TerminalNotLast(Stage::Multisearch))
-        );
-        assert_eq!(
             Pipeline::parse("wcc,fwbw,tasks"),
             Err(PipelineError::PeelAfterRepartition {
                 peel: Stage::Fwbw,
@@ -1290,14 +1130,7 @@ mod tests {
                 (0, 7),
             ],
         );
-        for spec in [
-            "tasks",
-            "serial",
-            "trim,fwbw,trim2,wcc,tasks",
-            "coloring",
-            "multisearch",
-            "trim,fwbw,peel,multisearch",
-        ] {
+        for spec in ["tasks", "serial", "trim,fwbw,trim2,wcc,tasks", "coloring"] {
             let p = Pipeline::parse(spec).unwrap();
             let (r, report) =
                 run_pipeline(&g, &p, &SccConfig::with_threads(2), &RunGuard::new()).unwrap();

@@ -6,8 +6,8 @@
 //! deletions in per-vertex overlays: sorted insert vectors and sorted
 //! tombstone vectors, one pair per touched vertex per direction. The
 //! overlay itself implements [`GraphView`] — merged ascending-order
-//! streaming with early stop — so every existing EdgeMap / pipeline /
-//! multireach kernel runs over a mutated graph unmodified, which is the
+//! streaming with early stop — so every existing EdgeMap / pipeline
+//! kernel runs over a mutated graph unmodified, which is the
 //! entire point: incremental repair reuses the batch kernels on the
 //! *current* graph without a rebuild.
 //!

@@ -1,7 +1,7 @@
 //! The `GraphView` seam: one neighbor-access trait under every kernel.
 //!
-//! PRs 1-6 made the pipeline memory-bandwidth-bound: every trim / FW-BW /
-//! WCC / multisearch round streams the adjacency arrays, so bytes-per-edge
+//! The pipeline is memory-bandwidth-bound: every trim / FW-BW / WCC /
+//! coloring round streams the adjacency arrays, so bytes-per-edge
 //! is the dominant cost. Following the GBBS playbook (Dhulipala et al.,
 //! arXiv 1805.05208), the traversal kernels are generic over this trait so
 //! they run unmodified on either the raw [`CsrGraph`] or the byte-delta

@@ -18,25 +18,16 @@
 //! * [`liveset::LiveSet`] — the dense ↔ sparse live-residue vertex subset:
 //!   post-peel kernels iterate it instead of `0..N`, making every sweep
 //!   O(|residue|) once the giant SCC is gone (GBBS-style `vertexSubset`).
-//! * [`reachtable::ReachTable`] / [`hashbag::HashBag`] — the multi-search
-//!   substrate (Wang et al., arXiv 2303.04934): a resizable concurrent
-//!   hash set of (vertex, pivot-label) reachability pairs and the blocked
-//!   publish/claim frontier bag that carries those pairs between BFS
-//!   levels.
 //! * [`pool`] — helpers to run a closure inside a rayon pool of an exact
 //!   thread count (the paper's thread-count sweep axis in Fig. 6/7).
 
 pub mod bitset;
 pub mod frontier;
-pub mod hashbag;
 pub mod liveset;
 pub mod pool;
-pub mod reachtable;
 pub mod workqueue;
 
 pub use bitset::AtomicBitSet;
 pub use frontier::{ClaimSet, Frontier};
-pub use hashbag::HashBag;
 pub use liveset::{CompactionPolicy, LiveSet};
-pub use reachtable::{ReachTable, ReachView};
 pub use workqueue::{AbortCause, QueueStats, RunAbort, TwoLevelQueue, Worker};

@@ -30,12 +30,6 @@
 //!    fired at a model-scheduled point is observed at the next boundary
 //!    poll — clean finish or typed abort, never a hang or a duplicated
 //!    task.
-//! 6. **HashBag publish/claim handshake** (`HashBag`): the claim CAS
-//!    advances the cursor only after observing the index below the
-//!    published length under the read lock, so racing claimants
-//!    interleaved with racing producers deliver every published block to
-//!    exactly one claimant — no block lost, none delivered twice, no
-//!    index burned ahead of publication.
 //!
 //! Plus the audit-layer self-test: the *pre-fix* termination protocol
 //! (Relaxed decrement + Relaxed termination load — the bug the
@@ -43,7 +37,7 @@
 //! back in, and the checker must detect it within bounded schedules.
 #![cfg(model)]
 
-use swscc_parallel::{ClaimSet, Frontier, HashBag, LiveSet, TwoLevelQueue};
+use swscc_parallel::{ClaimSet, Frontier, LiveSet, TwoLevelQueue};
 use swscc_sync::atomic::{AtomicUsize, Ordering};
 use swscc_sync::model::{explore, replay, Options, Strategy};
 
@@ -396,69 +390,6 @@ fn workqueue_cancel_delivered_at_every_yield_point() {
     assert!(
         report.failure.is_none(),
         "cancellation delivery violated: {}",
-        report.failure.unwrap()
-    );
-    assert!(
-        report.distinct_schedules >= 1000,
-        "only {} distinct schedules explored",
-        report.distinct_schedules
-    );
-}
-
-/// Protocol 6: the hash-bag publish/claim handshake. Two producers each
-/// publish two small blocks while two claimants race the cursor CAS
-/// against them (claimants may legitimately observe `None` before a late
-/// publication — the model drives every such overlap). After the join
-/// the main thread drains the remainder; across all explored schedules
-/// the union of everything claimed must be exactly the published
-/// multiset — no block lost to a burned cursor index, none delivered to
-/// two claimants — and the item counter must be exact.
-#[test]
-fn hashbag_publish_claim_delivers_exactly_once() {
-    let report = explore(opts(2000, 0x57CC_0009), || {
-        let bag = HashBag::new();
-        let claimed: Vec<swscc_sync::Mutex<Vec<u64>>> =
-            (0..2).map(|_| swscc_sync::Mutex::new(Vec::new())).collect();
-        swscc_sync::thread::scope(|s| {
-            for p in 0..2u64 {
-                let bag = &bag;
-                s.spawn(move || {
-                    let mut block = vec![p * 10, p * 10 + 1];
-                    bag.publish(&mut block);
-                    assert!(block.is_empty(), "publish must recycle the block");
-                    block.extend([p * 10 + 2, p * 10 + 3]);
-                    bag.publish(&mut block);
-                });
-            }
-            for c in &claimed {
-                let bag = &bag;
-                s.spawn(move || {
-                    let mut mine = c.lock();
-                    while let Some(block) = bag.claim() {
-                        mine.extend(block.iter().copied());
-                    }
-                });
-            }
-        });
-        // The claimants may have raced ahead of a producer and stopped on
-        // `None`; the leftover blocks are still claimable post-join.
-        let mut all: Vec<u64> = claimed.iter().flat_map(|c| c.lock().clone()).collect();
-        while let Some(block) = bag.claim() {
-            all.extend(block.iter().copied());
-        }
-        all.sort_unstable();
-        assert_eq!(
-            all,
-            vec![0, 1, 2, 3, 10, 11, 12, 13],
-            "publish/claim lost or duplicated a block"
-        );
-        assert_eq!(bag.len(), 8, "item counter drifted");
-        assert_eq!(bag.blocks_published(), 4);
-        assert!(bag.claim().is_none(), "drained bag must stay drained");
-    });
-    assert!(
-        report.failure.is_none(),
-        "hash-bag handshake violated: {}",
         report.failure.unwrap()
     );
     assert!(

@@ -13,9 +13,9 @@
 //! closure outlive its captures.
 #![cfg(model)]
 
-use swscc_sync::atomic::{AtomicU32, Ordering};
+use swscc_sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use swscc_sync::model::{explore, replay, Options, Strategy};
-use swscc_sync::Mutex;
+use swscc_sync::{Mutex, RwLock};
 
 fn opts(iterations: u64) -> Options {
     Options {
@@ -174,6 +174,74 @@ fn mutex_serializes_critical_sections() {
         assert_eq!(*n.lock(), 2);
     });
     assert!(report.failure.is_none(), "{:?}", report.failure);
+}
+
+/// Takes the next published block: the cursor CAS advances only past an
+/// index below the length seen under the read lock.
+fn claim_next(blocks: &RwLock<Vec<u64>>, cursor: &AtomicUsize) -> Option<u64> {
+    let published = blocks.read();
+    loop {
+        let i = cursor.load(Ordering::Relaxed);
+        if i >= published.len() {
+            return None;
+        }
+        if cursor
+            .compare_exchange(i, i + 1, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+        {
+            return Some(published[i]);
+        }
+    }
+}
+
+/// A woken lock waiter is re-checked once it holds the run token. Two
+/// producers publish under the write lock of an `RwLock<Vec<_>>` while
+/// two claimants race a CAS cursor under the read lock, so a producer
+/// often re-takes the write lock between a claimant's wake-up and its
+/// turn. Admitting that claimant without the re-check stamps a read
+/// claim over the held write lock and parks it on the real lock, outside
+/// the scheduler's view, and the session hangs; the watchdog thread turns
+/// that hang into a failure. Every block must be claimed exactly once.
+#[test]
+fn woken_waiter_rechecks_admission() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let report = explore(opts(2000), || {
+            let blocks = RwLock::new(Vec::new());
+            let cursor = AtomicUsize::new(0);
+            let claimed: Vec<Mutex<Vec<u64>>> = (0..2).map(|_| Mutex::new(Vec::new())).collect();
+            swscc_sync::thread::scope(|s| {
+                for p in 0..2u64 {
+                    let blocks = &blocks;
+                    s.spawn(move || {
+                        for i in 0..2 {
+                            blocks.write().push(p * 10 + i);
+                        }
+                    });
+                }
+                for c in &claimed {
+                    let (blocks, cursor) = (&blocks, &cursor);
+                    s.spawn(move || {
+                        while let Some(b) = claim_next(blocks, cursor) {
+                            c.lock().push(b);
+                        }
+                    });
+                }
+            });
+            let mut all: Vec<u64> = claimed.iter().flat_map(|c| c.lock().clone()).collect();
+            while let Some(b) = claim_next(&blocks, &cursor) {
+                all.push(b);
+            }
+            all.sort_unstable();
+            assert_eq!(all, vec![0, 1, 10, 11], "a block was lost or claimed twice");
+        });
+        let _ = done.send(report);
+    });
+    let report = finished
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("model session hung: a woken waiter was admitted without a re-check");
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    assert!(report.distinct_schedules >= 1000);
 }
 
 /// An unbounded spin on a flag nobody sets trips the step bound instead

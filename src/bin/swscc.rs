@@ -324,9 +324,6 @@ fn cmd_scc(args: &Args) -> Result<(), CliError> {
             RecoveryEvent::RestartedSequential { message } => {
                 format!("restarted sequentially from scratch ({message})")
             }
-            RecoveryEvent::DegradedToQueue { message, residue } => {
-                format!("degraded to work-queue tail on {residue} residue nodes ({message})")
-            }
         };
         eprintln!("recovery:    {line}");
     }
@@ -441,15 +438,14 @@ USAGE:
 --pipeline: run a custom stage composition through the phase-pipeline
          engine instead of a named algorithm (mutually exclusive with
          --algo). STAGES is comma-separated from: trim fwbw peel trim2
-         wcc coloring colortail serial tasks multisearch; the list must
-         end in a terminal stage (tasks, coloring, serial, or
-         multisearch) and fwbw/peel may not follow a re-partitioning
+         wcc coloring colortail serial tasks; the list must end in a
+         terminal stage (tasks, coloring, or serial) and fwbw/peel may
+         not follow a re-partitioning
          stage (wcc, colortail). Prints a per-phase time/resolved
          breakdown (paper Figs. 7-8).
          Examples:
            --pipeline trim,fwbw,trim,trim2,trim,wcc,tasks   (= method2)
            --pipeline trim,fwbw,wcc,tasks                   (Trim2 ablation)
-           --pipeline trim,fwbw,trim,multisearch   (multi-pivot tail)
 --compressed: run the phase-pipeline engine on the byte-delta compressed
             CSR backend (~2x smaller); works with --pipeline or any
             parallel --algo (fwbw baseline method1 method2 coloring

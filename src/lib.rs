@@ -9,8 +9,6 @@
 //! * [`parallel`] — work queue, atomic bitset, thread-pool helpers
 //!   (`swscc-parallel`).
 //! * [`core`] — the SCC algorithms themselves (`swscc-core`).
-//! * [`distributed`] — BSP message-passing simulation of the pipeline,
-//!   the paper's §6 future work (`swscc-distributed`).
 //! * [`serve`] — the always-on SCC service: epoch snapshots, admission
 //!   control, the wire protocol, and the load generator (`swscc-serve`).
 //!
@@ -26,7 +24,6 @@
 //! ```
 
 pub use swscc_core as core;
-pub use swscc_distributed as distributed;
 pub use swscc_graph as graph;
 pub use swscc_parallel as parallel;
 pub use swscc_serve as serve;

@@ -30,18 +30,8 @@ use swscc::graph::gen::watts_strogatz::watts_strogatz;
 use swscc::serve::{Client, Endpoint, Listener, Response, ServeConfig, ServedGraph, Server};
 use swscc::sync::fault::{self, FaultKind, FaultPlan};
 use swscc::{
-    detect_scc, run_checked, run_pipeline, Algorithm, CsrGraph, PanicPolicy, Pipeline, RunGuard,
-    SccConfig, SccError,
+    detect_scc, run_checked, Algorithm, CsrGraph, PanicPolicy, RunGuard, SccConfig, SccError,
 };
-
-/// What a chaos schedule drives: a stock algorithm through `run_checked`,
-/// or a custom `--pipeline` composition through `run_pipeline` (same
-/// engine, same typed-error contract).
-#[derive(Clone, Copy, Debug)]
-enum Driver {
-    Algo(Algorithm),
-    Custom(&'static str),
-}
 
 /// Each driver paired with the fault sites its pipeline actually passes
 /// through. A plan can still land past the end of the run (late `nth`,
@@ -49,17 +39,14 @@ enum Driver {
 /// skipped, and the per-site guards below make sure none of them turns
 /// the whole battery vacuous. `model-yield` is excluded: it only exists
 /// under `--cfg model`.
-const DRIVERS: &[(Driver, &[&str])] = &[
+const DRIVERS: &[(Algorithm, &[&str])] = &[
+    (Algorithm::FwBw, &["workqueue-task", "recur-task"]),
     (
-        Driver::Algo(Algorithm::FwBw),
-        &["workqueue-task", "recur-task"],
-    ),
-    (
-        Driver::Algo(Algorithm::Baseline),
+        Algorithm::Baseline,
         &["trim-round", "workqueue-task", "recur-task"],
     ),
     (
-        Driver::Algo(Algorithm::Method1),
+        Algorithm::Method1,
         &[
             "trim-round",
             "fwbw-superstep",
@@ -68,7 +55,7 @@ const DRIVERS: &[(Driver, &[&str])] = &[
         ],
     ),
     (
-        Driver::Algo(Algorithm::Method2),
+        Algorithm::Method2,
         &[
             "trim-round",
             "fwbw-superstep",
@@ -77,19 +64,11 @@ const DRIVERS: &[(Driver, &[&str])] = &[
             "recur-task",
         ],
     ),
+    (Algorithm::Coloring, &["trim-round", "coloring-round"]),
     (
-        Driver::Algo(Algorithm::Coloring),
-        &["trim-round", "coloring-round"],
-    ),
-    (
-        Driver::Algo(Algorithm::Multistep),
+        Algorithm::Multistep,
         &["trim-round", "fwbw-superstep", "coloring-round"],
     ),
-    (
-        Driver::Custom("trim,fwbw,trim,multisearch"),
-        &["trim-round", "fwbw-superstep", "multisearch-round"],
-    ),
-    (Driver::Custom("multisearch"), &["multisearch-round"]),
 ];
 
 const DEFAULT_ROUNDS: u64 = 320;
@@ -137,7 +116,7 @@ fn graph_pool() -> Vec<(&'static str, CsrGraph, Vec<u32>)> {
 }
 
 struct Schedule {
-    driver: Driver,
+    driver: Algorithm,
     graph: usize,
     threads: usize,
     policy: PanicPolicy,
@@ -161,7 +140,7 @@ fn derive(seed: u64, num_graphs: usize) -> Schedule {
     // alone).
     let sites = all_sites();
     let site = sites[(splitmix64(&mut s) % sites.len() as u64) as usize];
-    let drivers: Vec<Driver> = DRIVERS
+    let drivers: Vec<Algorithm> = DRIVERS
         .iter()
         .filter(|(_, driver_sites)| driver_sites.contains(&site))
         .map(|&(driver, _)| driver)
@@ -231,13 +210,7 @@ fn run_schedule(
 
     let guard = RunGuard::new();
     let fault_guard = fault::arm(sched.plan);
-    let outcome = match sched.driver {
-        Driver::Algo(algo) => run_checked(g, algo, &cfg, &guard),
-        Driver::Custom(spec) => {
-            let pipeline = Pipeline::parse(spec).expect("chaos pipeline specs are legal");
-            run_pipeline(g, &pipeline, &cfg, &guard)
-        }
-    };
+    let outcome = run_checked(g, sched.driver, &cfg, &guard);
     let fired = fault::fired();
     drop(fault_guard);
 

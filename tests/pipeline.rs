@@ -563,25 +563,6 @@ fn composition_everything_but_the_kitchen_sink() {
     assert_composition_matches_tarjan("trim,fwbw,trim2,trim,peel,trim,wcc,tasks");
 }
 
-#[test]
-fn composition_multisearch_only() {
-    assert_composition_matches_tarjan("multisearch");
-}
-
-#[test]
-fn composition_peel_then_multisearch() {
-    // The headline MultiReach composition: peel the giant SCC, then
-    // resolve the residue with multi-pivot reachability rounds.
-    assert_composition_matches_tarjan("trim,fwbw,peel,multisearch");
-}
-
-#[test]
-fn composition_wcc_then_multisearch() {
-    // multisearch is legal anywhere tasks is, including after a
-    // re-partitioning stage (it searches within color partitions).
-    assert_composition_matches_tarjan("trim,fwbw,trim2,trim,wcc,multisearch");
-}
-
 type RejectionPredicate = fn(&PipelineError) -> bool;
 
 #[test]
@@ -596,7 +577,6 @@ fn composition_illegal_pipelines_rejected() {
         ("tasks,trim", |e| matches!(e, E::NotTerminal(_))),
         ("coloring,tasks", |e| matches!(e, E::TerminalNotLast(_))),
         ("serial,serial", |e| matches!(e, E::TerminalNotLast(_))),
-        ("multisearch,tasks", |e| matches!(e, E::TerminalNotLast(_))),
         ("trim,bogus,tasks", |e| matches!(e, E::UnknownStage(_))),
         ("wcc,fwbw,tasks", |e| {
             matches!(e, E::PeelAfterRepartition { .. })
@@ -721,11 +701,6 @@ fn compressed_stock_multistep_matches_tarjan() {
 fn compressed_stock_fwbw_matches_tarjan() {
     let p = Pipeline::stock(Algorithm::FwBw).unwrap();
     assert_compressed_composition_matches_tarjan(&p.to_string());
-}
-
-#[test]
-fn compressed_multisearch_matches_tarjan() {
-    assert_compressed_composition_matches_tarjan("trim,fwbw,peel,multisearch");
 }
 
 #[test]

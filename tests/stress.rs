@@ -106,16 +106,6 @@ fn wide_star_bursts() {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "stress case; run with --release")]
-fn distributed_half_scale() {
-    let g = Dataset::Flickr.generate(0.5, 42);
-    let (want, _) = detect_scc(&g, Algorithm::Tarjan, &SccConfig::default());
-    let (r, report) = swscc::distributed::dist_scc(&g, 8);
-    assert_eq!(r.canonical_labels(), want.canonical_labels());
-    assert!(report.messages > 0);
-}
-
-#[test]
 fn repeated_parallel_runs_under_contention() {
     // Hammer the full pipeline from several OS threads at once (each run
     // spawns its own pool + workers): no cross-run interference allowed.
