@@ -138,7 +138,10 @@ impl<'g, G: GraphView> AlgoState<'g, G> {
         self.color[n as usize].load(Ordering::Relaxed)
     }
 
-    /// Unconditionally recolors `n`.
+    /// Unconditionally recolors `n`. `c` must be [`INITIAL_COLOR`],
+    /// [`DONE_COLOR`] or a color from [`AlgoState::alloc_color`]
+    /// ([`AlgoState::is_fresh`] relies on it), as must `to` in
+    /// [`AlgoState::cas_color`].
     #[inline]
     pub fn set_color(&self, n: NodeId, c: Color) {
         // ordering: see `color` — phase barriers publish, value is the
@@ -219,30 +222,6 @@ impl<'g, G: GraphView> AlgoState<'g, G> {
         self.set_color(n, DONE_COLOR);
     }
 
-    /// Effective in-degree of `n`: alive in-neighbors of the same color,
-    /// self-loops excluded, counting stops at `cap` (the trim kernels only
-    /// ever need "is it 0" or "is it exactly 1").
-    pub fn effective_in_degree(&self, n: NodeId, cap: usize) -> usize {
-        self.effective_degree(Direction::Backward, n, cap)
-    }
-
-    /// Effective out-degree of `n` (see [`AlgoState::effective_in_degree`]).
-    pub fn effective_out_degree(&self, n: NodeId, cap: usize) -> usize {
-        self.effective_degree(Direction::Forward, n, cap)
-    }
-
-    fn effective_degree(&self, dir: Direction, n: NodeId, cap: usize) -> usize {
-        let cn = self.color(n);
-        let mut count = 0;
-        self.g.for_each_neighbor_while(dir, n, |k| {
-            if k != n && self.color(k) == cn {
-                count += 1;
-            }
-            count < cap
-        });
-        count
-    }
-
     /// The unique alive same-color in-neighbor of `n`, if the effective
     /// in-degree is exactly 1.
     pub fn unique_in_neighbor(&self, n: NodeId) -> Option<NodeId> {
@@ -282,6 +261,16 @@ impl<'g, G: GraphView> AlgoState<'g, G> {
         // ordering: called between phases (after the joins that publish
         // every resolve), never raced against in-flight resolves.
         self.num_nodes() - self.resolved.load(Ordering::Relaxed)
+    }
+
+    /// `true` while nothing is resolved and every node still has
+    /// [`INITIAL_COLOR`] — the state every stock pipeline's first stage
+    /// sees. Every other color comes from [`AlgoState::alloc_color`], so
+    /// an untouched allocator means one color.
+    pub fn is_fresh(&self) -> bool {
+        // ordering: A2 — called between phases, after the joins that
+        // publish every resolve and allocation.
+        self.resolved.load(Ordering::Relaxed) == 0 && self.next_color.load(Ordering::Relaxed) == 1
     }
 
     /// The live-residue iteration domain shared by the full-sweep kernels.
@@ -412,6 +401,18 @@ mod tests {
     }
 
     #[test]
+    fn freshness_ends_at_first_resolve_or_color() {
+        let g = tiny();
+        let s = AlgoState::new(&g);
+        assert!(s.is_fresh());
+        s.alloc_color();
+        assert!(!s.is_fresh());
+        let s = AlgoState::new(&g);
+        s.resolve_singleton(3);
+        assert!(!s.is_fresh());
+    }
+
+    #[test]
     fn singleton_resolution_claims_once() {
         let g = tiny();
         let s = AlgoState::new(&g);
@@ -420,29 +421,6 @@ mod tests {
         assert!(!s.alive(3));
         assert_eq!(s.color(3), DONE_COLOR);
         assert_eq!(s.count_alive(), 3);
-    }
-
-    #[test]
-    fn effective_degrees_skip_self_loops_and_done() {
-        let g = tiny();
-        let s = AlgoState::new(&g);
-        // node 3: in-nbrs {2, 3}; self-loop excluded -> 1
-        assert_eq!(s.effective_in_degree(3, 8), 1);
-        // out-nbrs {3} -> 0
-        assert_eq!(s.effective_out_degree(3, 8), 0);
-        // resolve 2: 3's in-degree drops to 0
-        s.resolve_singleton(2);
-        assert_eq!(s.effective_in_degree(3, 8), 0);
-    }
-
-    #[test]
-    fn color_partitioning_detaches() {
-        let g = tiny();
-        let s = AlgoState::new(&g);
-        let c = s.alloc_color();
-        s.set_color(0, c);
-        // 1's in-nbrs: {0}; different color now -> effective 0
-        assert_eq!(s.effective_in_degree(1, 8), 0);
     }
 
     #[test]

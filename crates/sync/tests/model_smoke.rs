@@ -244,6 +244,73 @@ fn woken_waiter_rechecks_admission() {
     assert!(report.distinct_schedules >= 1000);
 }
 
+/// Marks a counter that still includes its node's self-loop entries (a
+/// test-local replica of Par-Trim's fresh-state counter flag).
+const SELF_LOOP_FLAG: u32 = 1 << 31;
+
+/// Replica of Par-Trim's counter release: takes one entry off `c`; the
+/// first caller to see the flag clears it and subtracts the node's static
+/// `loops` self-loop entries. `true` iff this call took the counter to
+/// exactly zero, i.e. the caller pushes the node.
+fn release(c: &AtomicU32, loops: u32) -> bool {
+    // ordering: A1 — the counter is the whole protocol.
+    let prev = c.fetch_sub(1, Ordering::Relaxed);
+    if prev & SELF_LOOP_FLAG == 0 {
+        return prev == 1;
+    }
+    // ordering: A1 — exactly one caller sees the flag set.
+    let old = c.fetch_and(!SELF_LOOP_FLAG, Ordering::Relaxed);
+    if old & SELF_LOOP_FLAG == 0 {
+        return false;
+    }
+    match loops {
+        0 => old == SELF_LOOP_FLAG,
+        // ordering: A1 — as above.
+        loops => c.fetch_sub(loops, Ordering::Relaxed) == loops,
+    }
+}
+
+/// Two resolvers release each of two flagged counters, in opposite
+/// orders: one counter's node has no self-loop, the other's has two
+/// duplicate self-loop entries. Each node is pushed exactly once, and
+/// only after both decrements and the self-loop subtraction are in (an
+/// RMW at push time reads the counter's latest value, which must be
+/// zero).
+#[test]
+fn flagged_trim_counter_pushes_once_after_all_releases() {
+    let report = explore(opts(3000), || {
+        let loops = [0u32, 2];
+        let counters = loops.map(|l| AtomicU32::new(SELF_LOOP_FLAG | (2 + l)));
+        let pushes = [AtomicU32::new(0), AtomicU32::new(0)];
+        swscc_sync::thread::scope(|s| {
+            for first in 0..2 {
+                let (counters, pushes) = (&counters, &pushes);
+                s.spawn(move || {
+                    for i in [first, 1 - first] {
+                        if release(&counters[i], loops[i]) {
+                            // ordering: A1 — an RMW reads the latest value.
+                            let now = counters[i].fetch_add(0, Ordering::Relaxed);
+                            assert_eq!(now, 0, "node {i} pushed before every release was in");
+                            // ordering: A1 — a tally read after the join.
+                            pushes[i].fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        for i in 0..2 {
+            assert_eq!(pushes[i].load(Ordering::Relaxed), 1, "node {i} push count");
+            assert_eq!(counters[i].load(Ordering::Relaxed), 0);
+        }
+    });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    assert!(
+        report.distinct_schedules >= 1000,
+        "{}",
+        report.distinct_schedules
+    );
+}
+
 /// An unbounded spin on a flag nobody sets trips the step bound instead
 /// of hanging.
 #[test]

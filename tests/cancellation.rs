@@ -81,6 +81,58 @@ fn cancel_unblocks_every_driver() {
     }
 }
 
+/// Trim's peel on a path is one unbroken chain from each end, so the
+/// only poll points the run passes for most of its work are the peel's
+/// own.
+const PATH_NODES: u32 = 200_000;
+
+const PEEL_DELAY: Duration = Duration::from_millis(100);
+
+#[test]
+fn cancel_unblocks_long_trim_peel() {
+    let edges: Vec<(u32, u32)> = (0..PATH_NODES - 1).map(|i| (i, i + 1)).collect();
+    let g = CsrGraph::from_edges(PATH_NODES as usize, &edges);
+    for threads in [1, 2, 4] {
+        let cfg = SccConfig::with_threads(threads);
+        let guard = RunGuard::new();
+        let canceller = guard.canceller();
+        let _fault = fault::arm(FaultPlan {
+            site: Some("trim-round"),
+            nth: 0,
+            kind: FaultKind::Delay(PEEL_DELAY),
+            repeat: true,
+        });
+        let (outcome, elapsed) = swscc::sync::thread::scope(|s| {
+            // Cancels once the peels have passed the site three times, so
+            // at least one worker is stalled thousands of resolutions
+            // into its peel. A kernel that never gets that far finishes
+            // first and fails the `Cancelled` check below.
+            s.spawn(move || {
+                let give_up = Instant::now() + UNBLOCK_BOUND;
+                while fault::hits() < 3 && Instant::now() < give_up {
+                    swscc::sync::thread::sleep(Duration::from_millis(1));
+                }
+                canceller.cancel();
+            });
+            let start = Instant::now();
+            let outcome = run_checked(&g, Algorithm::Baseline, &cfg, &guard);
+            (outcome, start.elapsed())
+        });
+        // (Not `expect_err`: a completed run would print 200k labels.)
+        assert!(
+            matches!(outcome, Err(SccError::Cancelled)),
+            "{threads} threads: the cancel must land, got {:?}",
+            outcome.map(|(r, _)| r.num_components())
+        );
+        // Running on through every stalled poll (about 25 per peel) would
+        // take 2.5 s or more.
+        assert!(
+            elapsed < PEEL_DELAY * 12,
+            "{threads} threads took {elapsed:?} to unblock"
+        );
+    }
+}
+
 #[test]
 fn expired_deadline_rejects_before_work() {
     let g = test_graph();
