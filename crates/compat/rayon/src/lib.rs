@@ -199,6 +199,10 @@ fn run_parts<R: Send>(units: usize, f: &(impl Fn(usize, usize) -> R + Sync)) -> 
 /// index space. Items of the contiguous base sub-range `[lo, hi)` are
 /// *pushed* through the adapter stack into `sink`; a `Break` return
 /// requests early termination of the part.
+#[allow(
+    clippy::let_underscore_must_use,
+    reason = "a consumer feeds its whole range; only adapters act on `feed`'s early break"
+)]
 pub trait ParallelIterator: Sized + Send + Sync {
     type Item: Send;
 
@@ -411,6 +415,10 @@ pub trait FromParallelIterator<T: Send>: Sized {
     fn from_par_iter<I: ParallelIterator<Item = T>>(it: I) -> Self;
 }
 
+#[allow(
+    clippy::let_underscore_must_use,
+    reason = "collect feeds its whole range; only adapters act on `feed`'s early break"
+)]
 impl<T: Send> FromParallelIterator<T> for Vec<T> {
     fn from_par_iter<I: ParallelIterator<Item = T>>(it: I) -> Self {
         let parts = run_parts(it.units(), &|lo, hi| {

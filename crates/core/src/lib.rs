@@ -48,7 +48,6 @@
 //! ```
 
 pub mod config;
-mod driver;
 pub mod error;
 pub mod fwbw;
 pub mod incremental;
@@ -206,10 +205,9 @@ pub fn run_checked(
             return run_pipeline(g, &pipeline, cfg, guard);
         }
     };
-    // engine: the sequential oracles have no stage structure to
-    // pipeline — the guard is polled exactly once at entry, the
-    // documented best effort for algorithms that cannot be interrupted
-    // mid-run.
-    driver::check_guard(guard)?;
+    // The sequential oracles have no stage structure to pipeline — the
+    // guard is polled exactly once at entry, the documented best effort
+    // for algorithms that cannot be interrupted mid-run.
+    guard.check()?;
     Ok(instrument::timed_sequential(|| oracle(g)))
 }

@@ -47,8 +47,9 @@
 //! groups) run as no-ops rather than erroring: the rules reject *unsound*
 //! pipelines, not unprofitable ones.
 
+mod driver;
+
 use crate::config::{PivotStrategy, SccConfig};
-use crate::driver;
 use crate::error::{RunGuard, SccError};
 use crate::fwbw::parallel::par_fwbw;
 use crate::fwbw::recursive::{seed_tasks, RecurContext, Task};
@@ -402,8 +403,8 @@ pub struct PipelineCtx<'a> {
 /// How one stage run ended short of success. `Fatal` propagates as-is;
 /// `Dirty` means shared state may hold partial SCC claims and the engine
 /// must discard everything and restart sequentially
-/// (`driver::recover_full_restart`) — the same split as
-/// `driver::DriverError`, surfaced at the trait boundary.
+/// (`driver::recover_full_restart`). The engine's recovery machinery
+/// returns it too, so kernels and engine share one failure type.
 pub enum StageError {
     /// A clean typed failure (interrupt, or a panic under
     /// [`crate::PanicPolicy::Fail`]).
@@ -708,16 +709,11 @@ impl<G: GraphView> PhaseKernel<G> for TasksKernel {
         let queue: TwoLevelQueue<Task> =
             TwoLevelQueue::from_tasks(cfg.resolve_k(ctx.k_default), tasks);
         let rctx = RecurContext::new(state, ctx.collector, cfg);
-        match driver::run_queue_with_recovery(&queue, &rctx, cfg) {
-            Ok(res) => {
-                ctx.queue_stats = res.stats;
-                Ok(PhaseOutcome {
-                    resolved: res.resolved,
-                })
-            }
-            Err(driver::DriverError::Fatal(e)) => Err(StageError::Fatal(e)),
-            Err(driver::DriverError::DirtyRestart(message)) => Err(StageError::Dirty(message)),
-        }
+        let res = driver::run_queue_with_recovery(&queue, &rctx, cfg)?;
+        ctx.queue_stats = res.stats;
+        Ok(PhaseOutcome {
+            resolved: res.resolved,
+        })
     }
 }
 

@@ -1,6 +1,7 @@
-//! Shared machinery of the checked entry points ([`crate::run_checked`],
-//! [`crate::run_pipeline`]): interrupt checks at phase boundaries, panic capture around the
-//! data-parallel phases, and the work-queue retry/degrade/restart policy.
+//! The pipeline engine's private recovery machinery: interrupt checks at
+//! stage boundaries, panic capture around the data-parallel stages, and
+//! the work-queue retry/degrade/restart policy. A private child of
+//! [`super`], so only the engine ([`super::run_pipeline`]) can call it.
 //!
 //! # Recovery soundness
 //!
@@ -24,8 +25,9 @@
 //! (`Fallback`, the default) and propagating a typed
 //! [`SccError::WorkerPanic`] (`Fail`).
 
+use super::StageError;
 use crate::config::{PanicPolicy, SccConfig};
-use crate::error::{RunGuard, SccError};
+use crate::error::SccError;
 use crate::fwbw::recursive::{process_task, RecurContext, Task};
 use crate::instrument::{Collector, RecoveryEvent, RunReport};
 use crate::result::SccResult;
@@ -34,18 +36,8 @@ use crate::tarjan::tarjan_scc;
 use swscc_graph::GraphView;
 use swscc_parallel::{AbortCause, QueueStats, TwoLevelQueue};
 
-/// How a checked driver's internal step failed.
-pub(crate) enum DriverError {
-    /// A clean typed failure to propagate to the caller.
-    Fatal(SccError),
-    /// A dirty panic under [`PanicPolicy::Fallback`]: the caller must
-    /// discard the whole [`AlgoState`] and restart sequentially from the
-    /// input graph (see [`recover_full_restart`]).
-    DirtyRestart(String),
-}
-
 /// Successful outcome of [`run_queue_with_recovery`].
-pub(crate) struct QueueResolution {
+pub(super) struct QueueResolution {
     /// Cumulative queue statistics (across retries, if any).
     pub stats: QueueStats,
     /// Nodes resolved during the queue phase, including a sequential
@@ -53,19 +45,9 @@ pub(crate) struct QueueResolution {
     pub resolved: usize,
 }
 
-/// Polls the guard's token once — used before entering an algorithm that
-/// cannot be interrupted mid-run (the sequential oracles).
-pub(crate) fn check_guard(guard: &RunGuard) -> Result<(), SccError> {
-    let interrupt = guard.interrupt();
-    match interrupt.poll() {
-        None => Ok(()),
-        Some(reason) => Err(SccError::from_interrupt(reason, interrupt)),
-    }
-}
-
 /// Polls the run's token at a phase boundary; converts a pending abort
 /// (cancellation, deadline, watchdog trip) into the typed error.
-pub(crate) fn check_interrupt<G: GraphView>(state: &AlgoState<'_, G>) -> Result<(), SccError> {
+pub(super) fn check_interrupt<G: GraphView>(state: &AlgoState<'_, G>) -> Result<(), SccError> {
     match state.interrupt().poll() {
         None => Ok(()),
         Some(reason) => Err(SccError::from_interrupt(reason, state.interrupt())),
@@ -75,7 +57,7 @@ pub(crate) fn check_interrupt<G: GraphView>(state: &AlgoState<'_, G>) -> Result<
 /// Runs one data-parallel phase block with panic capture; `Err` carries
 /// the panic text. Any panic here is *dirty* (see the module docs): the
 /// caller must either restart from scratch or fail, never keep going.
-pub(crate) fn catch_phase<R>(body: impl FnOnce() -> R) -> Result<R, String> {
+pub(super) fn catch_phase<R>(body: impl FnOnce() -> R) -> Result<R, String> {
     // recovery: the captured state (AlgoState atomics, the Collector's
     // unpoisoning mutexes) stays structurally valid across an unwind; the
     // *algorithmic* consistency is what's lost, and the caller's policy
@@ -92,7 +74,7 @@ pub(crate) fn catch_phase<R>(body: impl FnOnce() -> R) -> Result<R, String> {
 /// The report keeps whatever phase accounting accumulated before the
 /// restart (documented as pre-recovery progress; the
 /// [`RecoveryEvent::RestartedSequential`] entry marks it as superseded).
-pub(crate) fn recover_full_restart<G: GraphView>(
+pub(super) fn recover_full_restart<G: GraphView>(
     g: &G,
     collector: Collector,
     cfg: &SccConfig,
@@ -117,7 +99,7 @@ pub(crate) fn recover_full_restart<G: GraphView>(
 /// sequential Tarjan on the induced residual subgraph (sound because only
 /// boundary panics occurred, so resolved components are whole SCCs).
 /// Returns the residue size.
-pub(crate) fn finish_residue_sequential<G: GraphView>(
+fn finish_residue_sequential<G: GraphView>(
     state: &AlgoState<'_, G>,
     collector: &Collector,
     message: String,
@@ -129,19 +111,19 @@ pub(crate) fn finish_residue_sequential<G: GraphView>(
 
 /// Drains `queue` with the full recovery policy:
 ///
-/// * interrupt abort → [`DriverError::Fatal`] with the typed error;
+/// * interrupt abort → [`StageError::Fatal`] with the typed error;
 /// * panic under [`PanicPolicy::Fail`] → `Fatal(WorkerPanic)`;
 /// * first boundary panic → re-push the intact task, record
 ///   [`RecoveryEvent::TaskRetried`], rerun the queue (leftover tasks are
 ///   still queued — the rerun resumes, not restarts);
 /// * second boundary panic → stop retrying, finish the residue
 ///   sequentially ([`finish_residue_sequential`]);
-/// * dirty (mid-task) panic → [`DriverError::DirtyRestart`].
-pub(crate) fn run_queue_with_recovery<G: GraphView>(
+/// * dirty (mid-task) panic → [`StageError::Dirty`].
+pub(super) fn run_queue_with_recovery<G: GraphView>(
     queue: &TwoLevelQueue<Task>,
     ctx: &RecurContext<'_, '_, G>,
     cfg: &SccConfig,
-) -> Result<QueueResolution, DriverError> {
+) -> Result<QueueResolution, StageError> {
     let state = ctx.state;
     let mut retried = false;
     loop {
@@ -159,7 +141,7 @@ pub(crate) fn run_queue_with_recovery<G: GraphView>(
         };
         match abort.cause {
             AbortCause::Interrupted(reason) => {
-                return Err(DriverError::Fatal(SccError::from_interrupt(
+                return Err(StageError::Fatal(SccError::from_interrupt(
                     reason,
                     state.interrupt(),
                 )))
@@ -169,12 +151,12 @@ pub(crate) fn run_queue_with_recovery<G: GraphView>(
                 at_boundary,
             } => {
                 if matches!(cfg.on_panic, PanicPolicy::Fail) {
-                    return Err(DriverError::Fatal(SccError::WorkerPanic { message }));
+                    return Err(StageError::Fatal(SccError::WorkerPanic { message }));
                 }
                 if !at_boundary {
                     // A partial resolve_into may have split an SCC across
                     // the resolved/unresolved divide; see the module docs.
-                    return Err(DriverError::DirtyRestart(message));
+                    return Err(StageError::Dirty(message));
                 }
                 // Boundary panic: the handler never saw the task — shared
                 // state is consistent and the task is intact.

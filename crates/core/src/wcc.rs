@@ -267,7 +267,10 @@ fn find(parents: &[AtomicU32], mut x: NodeId) -> u32 {
         }
         let gp = parents[p as usize].load(Ordering::Relaxed);
         if gp != p {
-            // halve the path; failure just means someone else improved it
+            #[allow(
+                clippy::let_underscore_must_use,
+                reason = "halving the path is a hint; a failed CAS means another thread improved it"
+            )]
             let _ =
                 parents[x as usize].compare_exchange(p, gp, Ordering::Relaxed, Ordering::Relaxed);
         }

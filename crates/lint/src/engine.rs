@@ -1,9 +1,8 @@
-//! The rule engine: workspace loading, rule dispatch, baseline
-//! application, and the finding model.
+//! The rule engine: workspace loading, rule dispatch, and the finding
+//! model.
 
 use std::path::{Path, PathBuf};
 
-use crate::baseline::Baseline;
 use crate::rules;
 use crate::source::SourceFile;
 
@@ -17,9 +16,6 @@ pub struct Finding {
     /// 1-based line.
     pub line: usize,
     pub message: String,
-    /// Trimmed text of the flagged line — the baseline fingerprints this
-    /// instead of the line number so entries survive unrelated edits.
-    pub anchor: String,
 }
 
 /// Engine configuration: the path policy knobs every rule consults.
@@ -30,8 +26,6 @@ pub struct Config {
     /// Path prefixes exempt from the facade rule (the facade itself and
     /// the compat shims that *implement* std-level plumbing).
     pub facade_exempt: Vec<String>,
-    /// Files allowed to call the driver's interrupt/recovery machinery.
-    pub engine_exempt: Vec<String>,
     /// Files whose non-test code is the neighbor-decode hot path.
     pub decode_hot_files: Vec<String>,
     /// Path prefix under which raw adjacency access is the backend's own
@@ -78,10 +72,6 @@ impl Default for Config {
         let safety_tag_exempt = vec!["crates/lint/".to_string(), "crates/compat/".to_string()];
         Config {
             facade_exempt,
-            engine_exempt: vec![
-                "crates/core/src/pipeline.rs".to_string(),
-                "crates/core/src/driver.rs".to_string(),
-            ],
             decode_hot_files: vec!["crates/graph/src/compressed.rs".to_string()],
             graph_crate: "crates/graph/".to_string(),
             inventory_exempt,
@@ -99,9 +89,6 @@ impl Default for Config {
 impl Config {
     pub fn is_facade_exempt(&self, rel: &str) -> bool {
         self.facade_exempt.iter().any(|p| rel.starts_with(p))
-    }
-    pub fn is_engine_exempt(&self, rel: &str) -> bool {
-        self.engine_exempt.iter().any(|p| rel.starts_with(p))
     }
     pub fn is_decode_hot(&self, rel: &str) -> bool {
         self.decode_hot_files.iter().any(|p| p == rel)
@@ -127,10 +114,12 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Walks `root` for `.rs` files (skipping `target`, dot-dirs, and
+    /// Walks `root` for `.rs` files (skipping `target`, dot-dirs,
     /// `crates/lint/fixtures` — the known-bad corpus must not flag the
-    /// tree that carries it), lexes each, and loads the DESIGN.md
-    /// inventory block if present.
+    /// tree that carries it — and every subdirectory whose `Cargo.toml`
+    /// declares its own `[workspace]`: such a package is outside this
+    /// workspace, so neither clippy nor the model lane builds it), lexes
+    /// each, and loads the DESIGN.md inventory block if present.
     pub fn load(root: &Path, mut config: Config) -> Workspace {
         let mut paths = Vec::new();
         collect_rs_files(root, root, &mut paths);
@@ -170,7 +159,7 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, String)>) {
                 continue;
             }
             let rel = rel_str(root, &path);
-            if rel == "crates/lint/fixtures" {
+            if rel == "crates/lint/fixtures" || is_separate_workspace(&path) {
                 continue;
             }
             collect_rs_files(root, &path, out);
@@ -178,6 +167,11 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, String)>) {
             out.push((path.clone(), rel_str(root, &path)));
         }
     }
+}
+
+fn is_separate_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 fn rel_str(root: &Path, path: &Path) -> String {
@@ -191,7 +185,7 @@ fn rel_str(root: &Path, path: &Path) -> String {
 /// cross-file rules (the atomic inventory, safety-tag cross-referencing)
 /// implement [`Rule::check_workspace`]. Either may push findings.
 pub trait Rule {
-    /// Stable name (CLI `--rule`, baseline entries, JSON output).
+    /// Stable name (CLI `--rule`, JSON output).
     fn name(&self) -> &'static str;
     /// One-line description for `--list-rules` and the docs.
     fn description(&self) -> &'static str;
@@ -206,34 +200,27 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(rules::relaxed::Relaxed),
         Box::new(rules::unsafe_rule::UnsafeJustified),
         Box::new(rules::recovery::Recovery),
-        Box::new(rules::engine_only::EngineOnly),
         Box::new(rules::decode::DecodeAlloc),
         Box::new(rules::inventory::AtomicInventory),
         Box::new(rules::safety_tag::SafetyTag),
         Box::new(rules::graphview::GraphViewDiscipline),
         Box::new(rules::delta::DeltaOverlay),
-        Box::new(rules::must_use::DroppedReport),
         Box::new(rules::socket_timeout::SocketTimeout),
     ]
 }
 
-/// Outcome of one engine run, pre-baseline and post-baseline.
+/// Outcome of one engine run.
 pub struct Report {
-    /// Findings not absorbed by the baseline (what the run reports).
+    /// Every finding, sorted by file, line and rule.
     pub findings: Vec<Finding>,
-    /// Findings absorbed by a live baseline entry.
-    pub suppressed: Vec<Finding>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
 
-/// Runs `rules` (all, or the named subset) over `ws`, then applies the
-/// baseline: matched entries absorb their findings; stale and expired
-/// entries surface as `baseline` meta-findings so the suppression file
-/// can never silently rot.
-pub fn run(ws: &Workspace, rule_filter: Option<&str>, baseline: &Baseline) -> Report {
+/// Runs `rules` (all, or the named subset) over `ws`.
+pub fn run(ws: &Workspace, rule_filter: Option<&str>) -> Report {
     let rules = all_rules();
-    let mut raw = Vec::new();
+    let mut findings = Vec::new();
     for rule in &rules {
         if let Some(name) = rule_filter {
             if rule.name() != name {
@@ -241,16 +228,14 @@ pub fn run(ws: &Workspace, rule_filter: Option<&str>, baseline: &Baseline) -> Re
             }
         }
         for file in &ws.files {
-            rule.check_file(file, ws, &mut raw);
+            rule.check_file(file, ws, &mut findings);
         }
-        rule.check_workspace(ws, &mut raw);
+        rule.check_workspace(ws, &mut findings);
     }
-    raw.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-
-    let (findings, suppressed) = baseline.apply(raw);
+    findings
+        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Report {
         findings,
-        suppressed,
         files_scanned: ws.files.len(),
     }
 }

@@ -1,20 +1,23 @@
 //! `swscc-lint` — the workspace's token-aware, dependency-free
 //! static-analysis engine.
 //!
-//! The repo's correctness story rests on discipline that `cargo test`
-//! cannot see: lock-free protocols justified ordering-by-ordering,
-//! unsafe decode loops anchored to validated invariants, kernels kept
-//! generic over both graph backends, recovery machinery confined to the
-//! pipeline engine. This crate enforces all of it
-//! mechanically, replacing the old regex/line-based `xtask audit` with a
-//! real lexer ([`lexer`]), item-level structure ([`source`]), a
-//! [`engine::Rule`] catalog ([`rules`]), text/JSON reporters
-//! ([`report`]), and a suppression [`baseline`] with expiry.
+//! The repo's correctness story rests on discipline that neither
+//! `cargo test` nor the compiler can see: lock-free protocols justified
+//! ordering-by-ordering, unsafe decode loops anchored to invariant tags
+//! that tests name, kernels kept generic over both graph backends,
+//! panic capture argued site by site. This crate enforces it
+//! mechanically with a real lexer ([`lexer`]), item-level structure
+//! ([`source`]), a [`engine::Rule`] catalog ([`rules`]) and text/JSON
+//! reporters ([`report`]). What rustc, clippy or module privacy can
+//! enforce (`// SAFETY:` on every unsafe block, recovery machinery
+//! reachable only from the pipeline engine, no discarded `#[must_use]`
+//! value) is left to them. A finding is answered in the source (a
+//! justification comment, a §8 row, a test tag); there is no
+//! suppression file.
 //!
 //! Entry point: `cargo run -p xtask -- lint` (see [`run_lint`]).
 //! Rule catalog and conventions: DESIGN.md §13.
 
-pub mod baseline;
 pub mod engine;
 pub mod lexer;
 pub mod report;
@@ -23,7 +26,6 @@ pub mod source;
 
 use std::path::PathBuf;
 
-use baseline::Baseline;
 use engine::{Config, Workspace};
 
 /// Parsed CLI options for one lint run.
@@ -34,8 +36,6 @@ pub struct LintOptions {
     pub rule: Option<String>,
     /// Emit JSON instead of text.
     pub json: bool,
-    /// Rewrite `crates/lint/baseline.lint` from current findings.
-    pub update_baseline: bool,
     /// Rewrite the DESIGN.md §8 generated atomic-inventory block.
     pub update_inventory: bool,
 }
@@ -47,9 +47,6 @@ pub struct LintRun {
     /// True if no findings were reported (exit 0), false for exit 1.
     pub clean: bool,
 }
-
-/// Relative path of the suppression baseline.
-pub const BASELINE_PATH: &str = "crates/lint/baseline.lint";
 
 /// Runs the lint over the workspace. `Err(msg)` is a usage error (bad
 /// `--rule` name, unreadable root) — the caller exits 2.
@@ -75,31 +72,7 @@ pub fn run_lint(opts: &LintOptions) -> Result<LintRun, String> {
     }
 
     let ws = Workspace::load(&opts.root, Config::default());
-    let baseline_file = opts.root.join(BASELINE_PATH);
-    let baseline = std::fs::read_to_string(&baseline_file)
-        .map(|t| Baseline::parse(&t))
-        .unwrap_or_else(|_| Baseline::empty());
-
-    if opts.update_baseline {
-        // Regenerate from the *raw* finding set (no suppression), keeping
-        // expiry/reason metadata for entries that still match.
-        let raw = engine::run(&ws, opts.rule.as_deref(), &Baseline::empty());
-        let new = baseline.regenerate(&raw.findings);
-        std::fs::write(&baseline_file, &new)
-            .map_err(|e| format!("cannot write {}: {e}", baseline_file.display()))?;
-        return Ok(LintRun {
-            output: format!(
-                "lint: baseline regenerated — {} entr(ies) written to {}\n",
-                new.lines()
-                    .filter(|l| !l.starts_with('#') && !l.is_empty())
-                    .count(),
-                BASELINE_PATH
-            ),
-            clean: true,
-        });
-    }
-
-    let report = engine::run(&ws, opts.rule.as_deref(), &baseline);
+    let report = engine::run(&ws, opts.rule.as_deref());
     let output = if opts.json {
         report::json(&report)
     } else {

@@ -2,6 +2,11 @@
 //! uploaded CI artifact and tooling. Both are hand-rolled — the engine
 //! is dependency-free by design.
 
+#![allow(
+    clippy::let_underscore_must_use,
+    reason = "`fmt::Write` into a `String` cannot fail"
+)]
+
 use crate::engine::Report;
 use std::fmt::Write as _;
 
@@ -13,46 +18,36 @@ pub fn text(report: &Report) -> String {
         let _ = writeln!(out, "{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
     }
     if report.findings.is_empty() {
-        let _ = writeln!(
-            out,
-            "lint: OK — {} files clean, {} finding(s) suppressed by baseline",
-            report.files_scanned,
-            report.suppressed.len()
-        );
+        let _ = writeln!(out, "lint: OK — {} files clean", report.files_scanned);
     } else {
         let _ = writeln!(
             out,
-            "lint: FAILED — {} finding(s) across {} files ({} suppressed by baseline)",
+            "lint: FAILED — {} finding(s) across {} files",
             report.findings.len(),
-            report.files_scanned,
-            report.suppressed.len()
+            report.files_scanned
         );
     }
     out
 }
 
-/// Stable JSON: `{"files_scanned": N, "findings": […], "suppressed": […]}`.
+/// Stable JSON: `{"files_scanned": N, "findings": […]}`.
 pub fn json(report: &Report) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"files_scanned\": {},", report.files_scanned);
-    let render = |out: &mut String, key: &str, list: &[crate::engine::Finding], trailing| {
-        let _ = write!(out, "  \"{key}\": [");
-        for (i, f) in list.iter().enumerate() {
-            let sep = if i + 1 == list.len() { "" } else { "," };
-            let _ = write!(
-                out,
-                "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}{sep}",
-                json_str(f.rule),
-                json_str(&f.file),
-                f.line,
-                json_str(&f.message)
-            );
-        }
-        let close = if list.is_empty() { "]" } else { "\n  ]" };
-        let _ = writeln!(out, "{close}{trailing}");
-    };
-    render(&mut out, "findings", &report.findings, ",");
-    render(&mut out, "suppressed", &report.suppressed, "");
+    out.push_str("  \"findings\": [");
+    let list = &report.findings;
+    for (i, f) in list.iter().enumerate() {
+        let sep = if i + 1 == list.len() { "" } else { "," };
+        let _ = write!(
+            out,
+            "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}{sep}",
+            json_str(f.rule),
+            json_str(&f.file),
+            f.line,
+            json_str(&f.message)
+        );
+    }
+    out.push_str(if list.is_empty() { "]\n" } else { "\n  ]\n" });
     out.push_str("}\n");
     out
 }
@@ -89,9 +84,7 @@ mod tests {
                 file: "a.rs".to_string(),
                 line: 3,
                 message: "msg with \"quotes\" and\nnewline".to_string(),
-                anchor: String::new(),
             }],
-            suppressed: vec![],
             files_scanned: 5,
         }
     }
@@ -109,6 +102,5 @@ mod tests {
         assert!(j.contains("\\\"quotes\\\""));
         assert!(j.contains("\\n"));
         assert!(j.contains("\"files_scanned\": 5"));
-        assert!(j.contains("\"suppressed\": []"));
     }
 }

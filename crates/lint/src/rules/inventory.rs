@@ -171,7 +171,6 @@ impl Rule for AtomicInventory {
                             "`Ordering::{o}` outside the work-queue termination protocol — \
                              DESIGN.md §8 invariant 1: add a join, not a fence"
                         ),
-                        anchor: format!("ordering:{o}"),
                     });
                 }
             }
@@ -188,7 +187,6 @@ impl Rule for AtomicInventory {
                      `{BEGIN_MARKER}` and `{END_MARKER}` in §8); add the markers and run \
                      `cargo run -p xtask -- lint --update-inventory`"
                 ),
-                anchor: "missing-inventory-block".to_string(),
             });
             return;
         };
@@ -205,7 +203,6 @@ impl Rule for AtomicInventory {
                      run `cargo run -p xtask -- lint --update-inventory` and document the \
                      new protocol in the §8 table"
                 ),
-                anchor: (*missing).to_string(),
             });
         }
         for gone in doc_lines.difference(&act_lines) {
@@ -217,7 +214,6 @@ impl Rule for AtomicInventory {
                     "atomic inventory drift — DESIGN.md §8 documents `{gone}` but the code \
                      no longer matches; run `cargo run -p xtask -- lint --update-inventory`"
                 ),
-                anchor: (*gone).to_string(),
             });
         }
     }

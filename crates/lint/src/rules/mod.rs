@@ -1,18 +1,18 @@
 //! The rule catalog. Each rule lives in its own module; shared
 //! token-stream helpers live here.
 //!
-//! Rules 1–6 are the token-aware re-implementations of the old
-//! line-based `xtask audit`; the rest are the semantic rules the
-//! line-based pass could not express. See DESIGN.md §13 for the catalog
-//! with rationale.
+//! `facade`, `relaxed`, `recovery` and `decode` are the token-aware
+//! re-implementations of the old line-based `xtask audit`; the rest are
+//! the semantic rules the line-based pass could not express. Checks the
+//! compiler can make (unsafe comments, engine-only recovery, dropped
+//! `#[must_use]` values) are left to rustc, clippy and module privacy.
+//! See DESIGN.md §13 for the catalog with rationale.
 
 pub mod decode;
 pub mod delta;
-pub mod engine_only;
 pub mod facade;
 pub mod graphview;
 pub mod inventory;
-pub mod must_use;
 pub mod recovery;
 pub mod relaxed;
 pub mod safety_tag;
@@ -62,19 +62,6 @@ impl<'f> Code<'f> {
 
     pub fn offset(&self, i: usize) -> usize {
         self.file.tokens[self.idx[i]].start
-    }
-
-    /// Trimmed text of the physical source line holding code token `i`
-    /// (the baseline anchor).
-    pub fn anchor(&self, i: usize) -> String {
-        let line = self.line(i);
-        self.file
-            .text
-            .lines()
-            .nth(line.saturating_sub(1))
-            .unwrap_or("")
-            .trim()
-            .to_string()
     }
 
     /// Does the path `segments` (e.g. `["std", "sync", "atomic"]`) start
@@ -135,6 +122,5 @@ pub fn finding_at(code: &Code<'_>, i: usize, rule: &'static str, message: String
         file: code.file.rel_path.clone(),
         line: code.line(i),
         message,
-        anchor: code.anchor(i),
     }
 }

@@ -75,12 +75,6 @@ impl Rule for SafetyTag {
                 // attributed here; tags may appear anywhere in it.
                 let tags = tags_in(text);
                 let line = t.line as usize + text[..safety_at].matches('\n').count();
-                let anchor = text
-                    .lines()
-                    .find(|l| l.contains("SAFETY:"))
-                    .unwrap_or("")
-                    .trim()
-                    .to_string();
                 if tags.is_empty() {
                     out.push(Finding {
                         rule: self.name(),
@@ -90,7 +84,6 @@ impl Rule for SafetyTag {
                                   the invariant and reference it from the test or \
                                   model-checker protocol that exercises it (DESIGN.md §13)"
                             .to_string(),
-                        anchor,
                     });
                     continue;
                 }
@@ -105,7 +98,6 @@ impl Rule for SafetyTag {
                                  model-checker protocol — add the tag to the test that \
                                  exercises this invariant, or fix the tag name"
                             ),
-                            anchor: anchor.clone(),
                         });
                     }
                 }

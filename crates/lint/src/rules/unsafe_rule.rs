@@ -7,6 +7,10 @@
 //! Token-aware: `unsafe` inside strings, doc comments, and identifiers
 //! like `unsafe_op` never fires; conversely a `// SAFETY:` that lives
 //! only in a doc comment or a string no longer satisfies the rule.
+//!
+//! Kept beside clippy's `undocumented_unsafe_blocks`, which reads source
+//! lines rather than tokens and so accepts `"// SAFETY: …"` inside a
+//! string literal on the line above a block (DESIGN.md §13).
 
 use crate::engine::{Finding, Rule, Workspace};
 use crate::rules::{finding_at, Code};

@@ -10,12 +10,10 @@
 //!
 //! The atomic-inventory rule needs purpose-built mini-workspaces instead
 //! of markers (its findings carry line 0). A final test runs the engine
-//! over the real tree and asserts it is clean modulo the checked-in
-//! baseline.
+//! over the real tree and asserts it is clean.
 
 use std::path::{Path, PathBuf};
 
-use swscc_lint::baseline::Baseline;
 use swscc_lint::engine::{self, Config, Workspace};
 use swscc_lint::source::SourceFile;
 
@@ -111,7 +109,7 @@ fn fixtures_fire_exactly_where_marked() {
     );
 
     let ws = Workspace::from_files(files, corpus_config());
-    let report = engine::run(&ws, None, &Baseline::empty());
+    let report = engine::run(&ws, None);
     let mut actual: Vec<Expectation> = report
         .findings
         .iter()
@@ -147,7 +145,7 @@ fn per_rule_filter_reproduces_the_marker_subset() {
     // markers — the filter must not leak other rules' findings.
     let (files, expected) = load_corpus();
     let ws = Workspace::from_files(files, corpus_config());
-    let report = engine::run(&ws, Some("graphview"), &Baseline::empty());
+    let report = engine::run(&ws, Some("graphview"));
     let mut want: Vec<Expectation> = expected
         .into_iter()
         .filter(|(_, _, r)| r == "graphview")
@@ -182,7 +180,7 @@ fn inventory_rule_strong_orderings_and_drift() {
         )],
         cfg,
     );
-    let report = engine::run(&ws, Some("inventory"), &Baseline::empty());
+    let report = engine::run(&ws, Some("inventory"));
     let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
     assert_eq!(report.findings.len(), 2, "{msgs:?}");
     assert!(
@@ -209,7 +207,7 @@ fn inventory_rule_strong_orderings_and_drift() {
         )],
         cfg,
     );
-    let report = engine::run(&ws, Some("inventory"), &Baseline::empty());
+    let report = engine::run(&ws, Some("inventory"));
     assert_eq!(report.findings.len(), 1);
     assert!(report.findings[0].message.contains("Ordering::SeqCst"));
 
@@ -221,7 +219,7 @@ fn inventory_rule_strong_orderings_and_drift() {
         ..Config::default()
     };
     let ws = Workspace::from_files(vec![file], cfg);
-    let report = engine::run(&ws, Some("inventory"), &Baseline::empty());
+    let report = engine::run(&ws, Some("inventory"));
     let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
     assert_eq!(report.findings.len(), 3, "{msgs:?}");
     assert!(
@@ -247,12 +245,12 @@ fn inventory_rule_strong_orderings_and_drift() {
         )],
         cfg,
     );
-    let report = engine::run(&ws, Some("inventory"), &Baseline::empty());
+    let report = engine::run(&ws, Some("inventory"));
     assert!(report.findings.is_empty(), "{:#?}", report.findings);
 }
 
 #[test]
-fn real_tree_is_clean_modulo_baseline() {
+fn real_tree_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -264,13 +262,10 @@ fn real_tree_is_clean_modulo_baseline() {
         "workspace walk found {} files",
         ws.files.len()
     );
-    let baseline = std::fs::read_to_string(root.join(swscc_lint::BASELINE_PATH))
-        .map(|t| Baseline::parse(&t))
-        .unwrap_or_else(|_| Baseline::empty());
-    let report = engine::run(&ws, None, &baseline);
+    let report = engine::run(&ws, None);
     assert!(
         report.findings.is_empty(),
-        "the real tree must lint clean modulo the baseline:\n{:#?}",
+        "the real tree must lint clean:\n{:#?}",
         report.findings
     );
 }

@@ -130,8 +130,11 @@ impl Listener {
             }
             Endpoint::Unix(path) => {
                 if path.exists() {
-                    // A stale socket from a dead server; a live one will
-                    // make the bind below fail loudly anyway.
+                    #[allow(
+                        clippy::let_underscore_must_use,
+                        reason = "a stale socket from a dead server; a live one makes \
+                                  the bind below fail loudly anyway"
+                    )]
                     let _ = std::fs::remove_file(path);
                 }
                 let l = UnixListener::bind(path)?;
@@ -184,6 +187,11 @@ impl Listener {
 impl Drop for Listener {
     fn drop(&mut self) {
         if let Some(path) = &self.cleanup {
+            #[allow(
+                clippy::let_underscore_must_use,
+                reason = "`Drop` cannot report the error, and a leftover socket file \
+                          is removed by the next bind"
+            )]
             let _ = std::fs::remove_file(path);
         }
     }

@@ -288,6 +288,10 @@ impl Server {
                     // then quarantine the connection — its framing is
                     // not trustworthy anymore.
                     self.stats.quarantine();
+                    #[allow(
+                        clippy::let_underscore_must_use,
+                        reason = "the connection is dropped next either way"
+                    )]
                     let _ = self.reply(
                         &mut stream,
                         &Response::BadRequest {
@@ -301,6 +305,10 @@ impl Server {
                 Ok(r) => r,
                 Err(bad) => {
                     self.stats.quarantine();
+                    #[allow(
+                        clippy::let_underscore_must_use,
+                        reason = "the connection is dropped next either way"
+                    )]
                     let _ = self.reply(
                         &mut stream,
                         &Response::BadRequest {

@@ -2,7 +2,7 @@
 //!
 //! Every atomic, lock, and thread primitive in the workspace is reached
 //! through this crate instead of `std::sync`/`std::thread`/`parking_lot`
-//! directly (enforced by `cargo run -p xtask -- audit`). The facade has two
+//! directly (enforced by `cargo run -p xtask -- lint`). The facade has two
 //! personalities:
 //!
 //! * **Normal builds** (no `--cfg model`): every item below is a *pure

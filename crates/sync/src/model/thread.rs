@@ -61,6 +61,10 @@ impl Drop for JoinOnDrop<'_, '_, '_> {
             // parked waiting for the token; the abort flag (set by the
             // failing thread) unparks them via the bounded condvar waits.
             if let Some(h) = c.os.lock().unwrap_or_else(|e| e.into_inner()).take() {
+                #[allow(
+                    clippy::let_underscore_must_use,
+                    reason = "the child's body catches its own panic into its `panic` slot"
+                )]
                 let _ = h.join();
             }
         }
@@ -275,6 +279,10 @@ impl<T> ScopedJoinHandle<'_, T> {
             }
         }
         if let Some(h) = self.os.lock().unwrap_or_else(|e| e.into_inner()).take() {
+            #[allow(
+                clippy::let_underscore_must_use,
+                reason = "the child's body catches its own panic into `self.panic`, read below"
+            )]
             let _ = h.join();
         }
         if let Some(p) = self.panic.lock().unwrap_or_else(|e| e.into_inner()).take() {

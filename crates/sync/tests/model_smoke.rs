@@ -235,6 +235,10 @@ fn woken_waiter_rechecks_admission() {
             all.sort_unstable();
             assert_eq!(all, vec![0, 1, 10, 11], "a block was lost or claimed twice");
         });
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "the receiver is gone only after the test failed on its timeout"
+        )]
         let _ = done.send(report);
     });
     let report = finished

@@ -3,18 +3,16 @@
 //!
 //! ```text
 //! cargo run -p xtask -- lint [--rule <name>] [--json]
-//!                            [--update-baseline] [--update-inventory]
-//!                            [--list-rules]
-//! cargo run -p xtask -- audit          # thin alias for `lint`
+//!                            [--update-inventory] [--list-rules]
 //! ```
 //!
 //! The engine itself lives in `crates/lint` (`swscc-lint`): a token-aware
 //! lexer + item-level parser and a rule catalog covering facade
-//! discipline, `Relaxed`/`unsafe`/recovery justifications, engine-only
-//! recovery, decode-path allocation, the DESIGN.md §8 atomic inventory,
-//! SAFETY invariant tags, GraphView backend discipline, and
-//! dropped-RunReport detection. See DESIGN.md §13 for the
-//! catalog and the suppression-baseline workflow.
+//! discipline, `Relaxed` and `catch_unwind` justifications, decode-path
+//! allocation, the DESIGN.md §8 atomic inventory, SAFETY invariant tags,
+//! GraphView and delta-overlay backend discipline, and serve-layer
+//! socket timeouts. See DESIGN.md §13 for the catalog, and for the
+//! checks left to rustc, clippy and module privacy.
 //!
 //! Exit codes: **0** clean, **1** findings, **2** usage error.
 
@@ -24,16 +22,14 @@ use std::process::ExitCode;
 use swscc_lint::{run_lint, LintOptions};
 
 const USAGE: &str = "usage: cargo run -p xtask -- lint \
-                     [--rule <name>] [--json] [--update-baseline] \
-                     [--update-inventory] [--list-rules]\n\
-                     (`audit` is an alias for `lint`)";
+                     [--rule <name>] [--json] [--update-inventory] [--list-rules]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        Some("lint") | Some("audit") => lint(args),
+        Some("lint") => lint(args),
         Some(other) => {
-            eprintln!("unknown xtask subcommand `{other}` (available: lint, audit)");
+            eprintln!("unknown xtask subcommand `{other}` (available: lint)");
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }
@@ -49,7 +45,6 @@ fn lint(args: impl Iterator<Item = String>) -> ExitCode {
         root: workspace_root(),
         rule: None,
         json: false,
-        update_baseline: false,
         update_inventory: false,
     };
     let mut args = args.peekable();
@@ -64,7 +59,6 @@ fn lint(args: impl Iterator<Item = String>) -> ExitCode {
                 }
             },
             "--json" => opts.json = true,
-            "--update-baseline" => opts.update_baseline = true,
             "--update-inventory" => opts.update_inventory = true,
             "--list-rules" => {
                 print!("{}", swscc_lint::rule_catalog());
@@ -89,8 +83,8 @@ fn lint(args: impl Iterator<Item = String>) -> ExitCode {
                 print!("{}", run.output);
                 ExitCode::FAILURE
             } else {
-                // Text findings go to stderr like the old audit, so CI
-                // logs interleave them with the failure status.
+                // Text findings go to stderr, so CI logs interleave them
+                // with the failure status.
                 eprint!("{}", run.output);
                 ExitCode::FAILURE
             }

@@ -34,7 +34,10 @@ thread_local! {
 }
 
 fn note(bytes: usize) {
-    // `try_with`: allocations during thread teardown go uncounted.
+    #[allow(
+        clippy::let_underscore_must_use,
+        reason = "`try_with`: allocations during thread teardown go uncounted"
+    )]
     let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes as u64));
 }
 
