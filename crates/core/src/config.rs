@@ -47,10 +47,13 @@ pub enum WccImpl {
 
 /// Configuration shared by Baseline / Method 1 / Method 2.
 ///
-/// The defaults mirror the paper: 1% giant-SCC threshold, random pivots,
+/// The defaults mirror the paper — 1% giant-SCC threshold, random pivots,
 /// the hybrid set representation enabled (§4.1), and per-method work-queue
 /// batch sizes (K=1 for Baseline and Method 1, K=8 for Method 2 — §4.3)
-/// applied automatically when [`SccConfig::k`] is `None`.
+/// applied automatically when [`SccConfig::k`] is `None` — with one
+/// exception: the phase-1 peel runs direction-optimizing BFS, the kernel
+/// improvement §4.2 anticipates. [`SccConfig::paper`] is the paper's
+/// configuration exactly.
 #[derive(Clone, Copy, Debug)]
 pub struct SccConfig {
     /// Worker threads for both the data-parallel phase (rayon pool) and the
@@ -79,10 +82,12 @@ pub struct SccConfig {
     /// Which WCC kernel Method 2's re-partitioning step uses.
     pub wcc_impl: WccImpl,
     /// Use direction-optimizing BFS (Beamer et al., the paper's ref. \[10\])
-    /// in the phase-1 peel: switch to bottom-up sweeps once the frontier
-    /// covers a large fraction of the unexplored partition. Off by default
-    /// (the paper's evaluation uses plain level-synchronous BFS); the
-    /// `ablation_dobfs` harness measures the difference.
+    /// in the phase-1 peel: a level runs as a bottom-up sweep when the
+    /// edges leaving the frontier outweigh the edges a sweep would scan
+    /// (see [`swscc_graph::traverse::TraversalConfig`]). On by default;
+    /// `false` is the paper's plain level-synchronous BFS
+    /// ([`SccConfig::paper`]). The `ablation_dobfs` harness measures both
+    /// on every dataset analog.
     pub direction_optimizing: bool,
     /// Frontier size below which a traversal level expands sequentially
     /// (the hybrid per-level expansion of the `EdgeMap` kernel — fork-join
@@ -130,7 +135,7 @@ impl Default for SccConfig {
             hybrid_sets: true,
             task_log_limit: 0,
             wcc_impl: WccImpl::LabelPropagation,
-            direction_optimizing: false,
+            direction_optimizing: true,
             par_frontier_threshold: swscc_graph::traverse::DEFAULT_PAR_FRONTIER_THRESHOLD,
             live_set_compaction: CompactionPolicy::Auto,
             on_panic: PanicPolicy::Fallback,
@@ -145,6 +150,15 @@ impl SccConfig {
     pub fn with_threads(threads: usize) -> Self {
         SccConfig {
             threads: threads.max(1),
+            ..Default::default()
+        }
+    }
+
+    /// The paper's configuration: the defaults with the peel's BFS
+    /// top-down at every level, as the paper evaluates it.
+    pub fn paper() -> Self {
+        SccConfig {
+            direction_optimizing: false,
             ..Default::default()
         }
     }
@@ -179,11 +193,26 @@ mod tests {
         assert!(c.hybrid_sets);
         assert_eq!(c.task_log_limit, 0);
         assert_eq!(c.par_frontier_threshold, 256);
-        assert!(!c.direction_optimizing);
         assert_eq!(c.live_set_compaction, CompactionPolicy::Auto);
         assert_eq!(c.on_panic, PanicPolicy::Fallback);
         assert_eq!(c.watchdog_factor, 4);
         assert_eq!(c.incremental_residue_limit, 1 << 16);
+    }
+
+    #[test]
+    fn paper_runs_top_down_bfs() {
+        assert!(SccConfig::default().direction_optimizing);
+        let p = SccConfig::paper();
+        assert!(!p.direction_optimizing);
+        assert!(!p.traversal().direction_optimizing);
+        // Everything else is the default.
+        let d = SccConfig::default();
+        assert_eq!(p.threads, d.threads);
+        assert_eq!(p.k, d.k);
+        assert_eq!(p.max_trials, d.max_trials);
+        assert_eq!(p.pivot, d.pivot);
+        assert_eq!(p.wcc_impl, d.wcc_impl);
+        assert_eq!(p.par_frontier_threshold, d.par_frontier_threshold);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! [`swscc_graph::traverse::EdgeMap`] kernel (§4.2), which owns
 //! the hybrid sequential fallback ([`SccConfig::par_frontier_threshold`])
 //! and the Beamer direction-optimizing switch
-//! ([`SccConfig::direction_optimizing`]; measured by the `ablation_dobfs`
-//! harness). The two passes differ only in their claim protocol, expressed
+//! ([`SccConfig::direction_optimizing`], on by default; measured against
+//! the paper's top-down peel by the `ablation_dobfs` harness). The two passes differ only in their claim protocol, expressed
 //! as [`EdgeMapOps`] implementations: the forward pass claims a single
 //! color transition, the backward pass claims two (backward-only nodes and
 //! the FW∩BW intersection) in one traversal.
@@ -29,7 +29,7 @@ use crate::state::{AlgoState, Color};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use swscc_graph::bfs::Direction;
-use swscc_graph::traverse::{Adjacency, EdgeMap, EdgeMapOps};
+use swscc_graph::traverse::{Adjacency, EdgeMap, EdgeMapOps, EdgeMapScratch};
 use swscc_graph::{GraphView, NodeId};
 use swscc_sync::atomic::{AtomicUsize, Ordering};
 
@@ -65,6 +65,8 @@ pub fn par_fwbw<G: GraphView>(
     let mut resolved = 0usize;
     let mut trials = 0usize;
     let mut giant_found = false;
+    // One set of traversal buffers for every pass of every trial.
+    let mut scratch = EdgeMapScratch::default();
 
     while trials < cfg.max_trials && candidate_size > 0 {
         // Cooperative bail-out between trials; mid-trial aborts are caught
@@ -83,10 +85,10 @@ pub fn par_fwbw<G: GraphView>(
         let fw_claimed = reach(
             state,
             cfg,
+            &mut scratch,
             pivot,
             candidate_color,
             fw_color,
-            Direction::Forward,
             candidate_size,
         );
 
@@ -96,6 +98,7 @@ pub fn par_fwbw<G: GraphView>(
         let (bw, scc) = backward_reach(
             state,
             cfg,
+            &mut scratch,
             pivot,
             candidate_color,
             fw_color,
@@ -150,12 +153,18 @@ pub fn par_fwbw<G: GraphView>(
 fn run_reach<G: GraphView, O: EdgeMapOps>(
     state: &AlgoState<'_, G>,
     cfg: &SccConfig,
+    scratch: &mut EdgeMapScratch,
     pivot: NodeId,
     dir: Direction,
     candidate_size: usize,
     ops: &O,
 ) -> usize {
-    let mut em = EdgeMap::new(state.g, Adjacency::Directed(dir), cfg.traversal());
+    let mut em = EdgeMap::with_scratch(
+        state.g,
+        Adjacency::Directed(dir),
+        cfg.traversal(),
+        std::mem::take(scratch),
+    );
     em.seed(pivot);
     em.set_remaining(candidate_size.saturating_sub(1));
     loop {
@@ -169,7 +178,9 @@ fn run_reach<G: GraphView, O: EdgeMapOps>(
             break;
         }
     }
-    em.claimed()
+    let claimed = em.claimed();
+    *scratch = em.into_scratch();
+    claimed
 }
 
 /// Single-color claim protocol: `from_color -> to_color`, a test-then-CAS
@@ -191,6 +202,12 @@ impl<G: GraphView> EdgeMapOps for ColorClaimOps<'_, '_, G> {
     #[inline]
     fn candidate(&self, v: NodeId) -> bool {
         self.state.color(v) == self.from_color
+    }
+
+    fn fill_pool(&self, _universe: usize, parallel: bool, pool: &mut Vec<NodeId>) {
+        self.state
+            .live()
+            .extend_filtered(parallel, pool, |v| self.candidate(v));
     }
 }
 
@@ -231,17 +248,24 @@ impl<G: GraphView> EdgeMapOps for DualClaimOps<'_, '_, G> {
         let c = self.state.color(v);
         c == self.candidate_color || c == self.fw_color
     }
+
+    fn fill_pool(&self, _universe: usize, parallel: bool, pool: &mut Vec<NodeId>) {
+        self.state
+            .live()
+            .extend_filtered(parallel, pool, |v| self.candidate(v));
+    }
 }
 
-/// Single-color reachability claiming `from_color -> to_color` along `dir`.
-/// Returns the number of nodes claimed (incl. pivot).
+/// The forward pass of one FW-BW trial: single-color reachability from
+/// `pivot` along out-edges, claiming `from_color -> to_color`. Returns the
+/// number of nodes claimed (incl. pivot).
 fn reach<G: GraphView>(
     state: &AlgoState<'_, G>,
     cfg: &SccConfig,
+    scratch: &mut EdgeMapScratch,
     pivot: NodeId,
     from_color: Color,
     to_color: Color,
-    dir: Direction,
     candidate_size: usize,
 ) -> usize {
     if !state.cas_color(pivot, from_color, to_color) {
@@ -252,7 +276,15 @@ fn reach<G: GraphView>(
         from_color,
         to_color,
     };
-    1 + run_reach(state, cfg, pivot, dir, candidate_size, &ops)
+    1 + run_reach(
+        state,
+        cfg,
+        scratch,
+        pivot,
+        Direction::Forward,
+        candidate_size,
+        &ops,
+    )
 }
 
 /// The backward pass of one FW-BW trial: from `pivot`, following in-edges,
@@ -262,6 +294,7 @@ fn reach<G: GraphView>(
 fn backward_reach<G: GraphView>(
     state: &AlgoState<'_, G>,
     cfg: &SccConfig,
+    scratch: &mut EdgeMapScratch,
     pivot: NodeId,
     candidate_color: Color,
     fw_color: Color,
@@ -281,7 +314,15 @@ fn backward_reach<G: GraphView>(
         bw_claimed: AtomicUsize::new(0),
         scc_claimed: AtomicUsize::new(1),
     };
-    run_reach(state, cfg, pivot, Direction::Backward, candidate_size, &ops);
+    run_reach(
+        state,
+        cfg,
+        scratch,
+        pivot,
+        Direction::Backward,
+        candidate_size,
+        &ops,
+    );
     // ordering: reads after run_reach's internal joins; no concurrent
     // writers remain.
     (

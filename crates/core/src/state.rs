@@ -21,6 +21,7 @@ use swscc_graph::{CsrGraph, GraphView, NodeId};
 use swscc_parallel::{AtomicBitSet, CompactionPolicy, LiveSet};
 use swscc_sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use swscc_sync::interrupt::{AbortReason, Interrupt};
+use swscc_sync::Mutex;
 
 /// Default watchdog headroom used by [`AlgoState::new`] (the legacy,
 /// never-cancelled construction path).
@@ -61,6 +62,9 @@ pub struct AlgoState<'g, G: GraphView = CsrGraph> {
     interrupt: Arc<Interrupt>,
     /// Watchdog headroom multiplier (see [`crate::SccConfig::watchdog_factor`]).
     watchdog_factor: usize,
+    /// Counter slots of [`crate::trim::par_trim`], kept between its calls
+    /// so a run allocates them once (empty until the first trim).
+    trim_slots: Mutex<Vec<AtomicU32>>,
 }
 
 impl<'g, G: GraphView> AlgoState<'g, G> {
@@ -90,6 +94,7 @@ impl<'g, G: GraphView> AlgoState<'g, G> {
             resolved: AtomicUsize::new(0),
             interrupt,
             watchdog_factor,
+            trim_slots: Mutex::new(Vec::new()),
         }
     }
 
@@ -276,6 +281,11 @@ impl<'g, G: GraphView> AlgoState<'g, G> {
     /// The live-residue iteration domain shared by the full-sweep kernels.
     pub fn live(&self) -> &LiveSet {
         &self.live
+    }
+
+    /// The run's trim counter buffer; see [`crate::trim::par_trim`].
+    pub(crate) fn trim_slots(&self) -> &Mutex<Vec<AtomicU32>> {
+        &self.trim_slots
     }
 
     /// The alive nodes, ascending — O(candidates), i.e. O(residue) once the

@@ -97,13 +97,27 @@ fn first_neighbor<G: GraphView>(g: &G, dir: Direction, n: NodeId) -> Option<Node
 
 /// Two counters per node: slot `2v` counts `v`'s remaining in-entries,
 /// slot `2v + 1` its out-entries.
+///
+/// The slots are never reset. The counting sweep sets both slots of every
+/// alive live-set candidate, and the peel touches only alive nodes, so no
+/// stale value from an earlier trim is ever read.
 struct Counters(Vec<AtomicU32>);
 
 impl Counters {
-    fn new(n: usize) -> Self {
-        let mut slots = Vec::with_capacity(2 * n);
-        slots.resize_with(2 * n, || AtomicU32::new(0));
+    /// Takes the run's counter buffer, sized for the graph.
+    fn borrow<G: GraphView>(state: &AlgoState<'_, G>) -> Self {
+        let mut slots = std::mem::take(&mut *state.trim_slots().lock());
+        let len = 2 * state.num_nodes();
+        if slots.len() != len {
+            slots.clear();
+            slots.resize_with(len, || AtomicU32::new(0));
+        }
         Counters(slots)
+    }
+
+    /// Hands the buffer back for the run's next trim.
+    fn give_back<G: GraphView>(self, state: &AlgoState<'_, G>) {
+        *state.trim_slots().lock() = self.0;
     }
 
     #[inline]
@@ -230,7 +244,7 @@ pub fn par_trim<G: GraphView>(state: &AlgoState<'_, G>) -> usize {
     if state.count_alive() == 0 {
         return 0;
     }
-    let counts = Counters::new(state.num_nodes());
+    let counts = Counters::borrow(state);
     let seeds: Vec<NodeId> = if state.is_fresh() && state.g.num_edges() < SELF_LOOP_FLAG as usize {
         state
             .live()
@@ -240,19 +254,22 @@ pub fn par_trim<G: GraphView>(state: &AlgoState<'_, G>) -> usize {
             .live()
             .par_collect(|v| state.alive(v) && count_exact(state, &counts, v))
     };
-    if seeds.is_empty() {
-        return 0;
-    }
     let workers = rayon::current_num_threads().min(seeds.len());
-    let per = seeds.len().div_ceil(workers);
-    (0..workers)
-        .into_par_iter()
-        .map(|w| {
-            let lo = (w * per).min(seeds.len());
-            let hi = ((w + 1) * per).min(seeds.len());
-            peel(state, &counts, &seeds[lo..hi])
-        })
-        .sum()
+    let resolved = if workers == 0 {
+        0
+    } else {
+        let per = seeds.len().div_ceil(workers);
+        (0..workers)
+            .into_par_iter()
+            .map(|w| {
+                let lo = (w * per).min(seeds.len());
+                let hi = ((w + 1) * per).min(seeds.len());
+                peel(state, &counts, &seeds[lo..hi])
+            })
+            .sum()
+    };
+    counts.give_back(state);
+    resolved
 }
 
 /// The paper's Algorithm 4 verbatim: full parallel sweeps over all nodes,

@@ -49,5 +49,5 @@ pub use builder::GraphBuilder;
 pub use compressed::CompressedCsr;
 pub use csr::{CsrError, CsrGraph, NodeId};
 pub use delta::{CompactBackend, DeltaGraph, DeltaStats};
-pub use traverse::{Adjacency, EdgeMap, EdgeMapOps, TraversalConfig};
+pub use traverse::{Adjacency, EdgeMap, EdgeMapOps, EdgeMapScratch, TraversalConfig};
 pub use view::{GraphView, MemoryFootprint};

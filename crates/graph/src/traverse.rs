@@ -17,9 +17,9 @@
 //!   thread, because per-level fork-join overhead exceeds the work on the
 //!   tiny ramp-up/ramp-down levels that bracket a small-world BFS;
 //! * **the Beamer direction-optimizing switch** (the paper's ref. \[10\];
-//!   §4.2 explicitly anticipates such BFS improvements) — when the
-//!   frontier covers a large fraction of the remaining candidates, flip to
-//!   bottom-up sweeps: scan unclaimed candidates and join any whose
+//!   §4.2 explicitly anticipates such BFS improvements) — when the edges
+//!   leaving the frontier outweigh the edges of the unclaimed candidates,
+//!   flip to bottom-up sweeps: scan unclaimed candidates and join any whose
 //!   reverse-adjacency touches the *current frontier*. Membership is
 //!   checked against a dense per-level [`ClaimSet`], not the visited set,
 //!   so bottom-up levels assign exactly the same depths as top-down ones
@@ -40,10 +40,25 @@ use swscc_sync::interrupt::{AbortReason, Interrupt};
 /// Default frontier size below which a level is expanded sequentially.
 pub const DEFAULT_PAR_FRONTIER_THRESHOLD: usize = 256;
 
-/// Default direction-optimizing switch factor: go bottom-up when
-/// `frontier · alpha > remaining` (a cheap node-count approximation of
-/// Beamer's edge-count heuristic).
-pub const DEFAULT_DOBFS_ALPHA: usize = 8;
+/// Default direction-optimizing switch factor: a level runs bottom-up when
+/// `edges(frontier) · alpha > edges(unclaimed candidates)` (Beamer's
+/// edge-count heuristic). Beamer's α = 14 assumes nearly every candidate is
+/// reachable, so a bottom-up probe stops at its first in-edge. An SCC peel's
+/// pool also holds nodes the pivot never reaches, and each of those scans
+/// its whole in-list on every bottom-up level, so the factor is far
+/// smaller. At 1 the peel on `livej` and `twitter` kept levels top-down
+/// that paid bottom-up; above 2, more of `baidu`'s levels (giant SCC 28%
+/// of the nodes) go bottom-up over a pool the pivot mostly never reaches
+/// (EXPERIMENTS.md §4.2).
+pub const DEFAULT_DOBFS_ALPHA: usize = 2;
+
+/// A level is weighed for a bottom-up sweep only when its frontier holds
+/// more than `1 / DOBFS_NODE_GATE` of the remaining candidates. Every
+/// level the edge test sent bottom-up on the dataset analogs had a
+/// frontier of at least a seventh of them; below the gate the per-level
+/// degree sum is skipped, which matters on graphs of many thin levels
+/// (`ca-road`'s peel runs about 2,000).
+const DOBFS_NODE_GATE: usize = 16;
 
 /// Tuning knobs of the traversal kernel.
 #[derive(Clone, Copy, Debug)]
@@ -102,6 +117,17 @@ impl Adjacency {
         }
     }
 
+    /// Traversal-direction degree of `v`, or its reverse-direction degree
+    /// (what a bottom-up probe of `v` scans at most) when `reverse`.
+    #[inline]
+    fn degree<G: GraphView>(self, g: &G, v: NodeId, reverse: bool) -> usize {
+        match self {
+            Adjacency::Directed(d) if reverse => g.degree(d.reverse(), v),
+            Adjacency::Directed(d) => g.degree(d, v),
+            Adjacency::Undirected => g.out_degree(v) + g.in_degree(v),
+        }
+    }
+
     /// First reverse-direction neighbor of `v` satisfying `pred` (the
     /// bottom-up "do I have a parent in the frontier" probe; early-exits
     /// mid-decode on compressed backends).
@@ -134,6 +160,41 @@ pub trait EdgeMapOps: Sync {
     /// pool. Must be consistent with `claim`: once a node is claimed it
     /// must stop being a candidate.
     fn candidate(&self, v: NodeId) -> bool;
+
+    /// Appends every claimable node to `pool`: the bottom-up candidate
+    /// pool, built once per traversal on its first bottom-up level. The
+    /// default scans `0..universe` through
+    /// [`candidate`](EdgeMapOps::candidate), in parallel when `parallel`
+    /// is set. Ops that know a smaller superset of their candidates (the
+    /// live residue of an SCC peel) override it to scan only that.
+    fn fill_pool(&self, universe: usize, parallel: bool, pool: &mut Vec<NodeId>) {
+        let nodes = 0..universe as NodeId;
+        if parallel {
+            pool.extend(
+                nodes
+                    .into_par_iter()
+                    .filter(|&v| self.candidate(v))
+                    .collect::<Vec<_>>(),
+            );
+        } else {
+            pool.extend(nodes.filter(|&v| self.candidate(v)));
+        }
+    }
+}
+
+/// Buffers of an [`EdgeMap`] that outlive one traversal: the frontier's
+/// double buffers, the bottom-up candidate pool and the dense frontier
+/// membership bits. A caller that runs many traversals over one graph (the
+/// FW/BW peel runs two per pivot trial) hands the same scratch from each
+/// finished kernel ([`EdgeMap::into_scratch`]) to the next
+/// ([`EdgeMap::with_scratch`]), so only the first traversal allocates.
+#[derive(Default)]
+pub struct EdgeMapScratch {
+    frontier: Frontier,
+    pool: Vec<NodeId>,
+    /// All-clear between steps: each bottom-up step releases the bits it
+    /// set before it returns.
+    in_frontier: Option<ClaimSet>,
 }
 
 /// The unified level-synchronous traversal driver. See the module docs.
@@ -145,13 +206,14 @@ pub struct EdgeMap<'g, G: GraphView = CsrGraph> {
     g: &'g G,
     adj: Adjacency,
     cfg: TraversalConfig,
-    frontier: Frontier,
-    /// Dense membership bits of the *current* frontier; built lazily on
-    /// the first bottom-up level, sparse-reset afterwards.
-    in_frontier: Option<ClaimSet>,
-    /// Unclaimed-candidate pool for bottom-up sweeps; materialized lazily
-    /// and shrunk as candidates are claimed.
-    pool: Option<Vec<NodeId>>,
+    scratch: EdgeMapScratch,
+    /// Whether `scratch.pool` holds this traversal's candidates; the pool
+    /// is built on the first bottom-up level and shrunk after each one.
+    pool_built: bool,
+    /// Σ reverse-direction degree over the pool — what one bottom-up level
+    /// scans at most. Exact after each bottom-up level; top-down levels
+    /// claim pool nodes without recounting, leaving it an over-estimate.
+    pool_edges: usize,
     depth: u32,
     remaining: usize,
     claimed: usize,
@@ -160,13 +222,31 @@ pub struct EdgeMap<'g, G: GraphView = CsrGraph> {
 impl<'g, G: GraphView> EdgeMap<'g, G> {
     /// A kernel over `g` following `adj`, with an empty frontier at depth 0.
     pub fn new(g: &'g G, adj: Adjacency, cfg: TraversalConfig) -> Self {
+        Self::with_scratch(g, adj, cfg, EdgeMapScratch::default())
+    }
+
+    /// [`EdgeMap::new`] reusing the buffers of an earlier traversal.
+    pub fn with_scratch(
+        g: &'g G,
+        adj: Adjacency,
+        cfg: TraversalConfig,
+        mut scratch: EdgeMapScratch,
+    ) -> Self {
+        scratch.frontier.clear();
+        if scratch
+            .in_frontier
+            .as_ref()
+            .is_some_and(|s| s.len() != g.num_nodes())
+        {
+            scratch.in_frontier = None;
+        }
         EdgeMap {
             g,
             adj,
             cfg,
-            frontier: Frontier::new(),
-            in_frontier: None,
-            pool: None,
+            scratch,
+            pool_built: false,
+            pool_edges: 0,
             depth: 0,
             // Until told otherwise, assume everything else is claimable.
             remaining: g.num_nodes(),
@@ -174,17 +254,22 @@ impl<'g, G: GraphView> EdgeMap<'g, G> {
         }
     }
 
+    /// Ends the traversal, handing its buffers to the next one.
+    pub fn into_scratch(self) -> EdgeMapScratch {
+        self.scratch
+    }
+
     /// Seeds the frontier with one node. The caller must have already
     /// claimed it (seeds are never passed to [`EdgeMapOps::claim`]).
     pub fn seed(&mut self, v: NodeId) {
-        self.frontier.push(v);
+        self.scratch.frontier.push(v);
         self.remaining = self.remaining.saturating_sub(1);
     }
 
     /// Appends pre-claimed nodes to the current frontier (multi-source
     /// traversals; re-activation between [`step`](EdgeMap::step)s).
     pub fn extend(&mut self, items: &[NodeId]) {
-        self.frontier.extend_from_slice(items);
+        self.scratch.frontier.extend_from_slice(items);
     }
 
     /// Overrides the remaining-candidate estimate used by the bottom-up
@@ -201,7 +286,7 @@ impl<'g, G: GraphView> EdgeMap<'g, G> {
 
     /// Members of the current frontier.
     pub fn frontier(&self) -> &[NodeId] {
-        self.frontier.as_slice()
+        self.scratch.frontier.as_slice()
     }
 
     /// Total number of successful claims so far (seeds excluded).
@@ -209,63 +294,123 @@ impl<'g, G: GraphView> EdgeMap<'g, G> {
         self.claimed
     }
 
+    /// The Beamer switch, decided per level: go bottom-up when the edges
+    /// the frontier would expand top-down, times
+    /// [`alpha`](TraversalConfig::alpha), outweigh the edges a bottom-up
+    /// sweep may scan. The latter is the pool's in-edge count once the
+    /// pool exists (every in-edge of every candidate, the cost of a
+    /// candidate the frontier never reaches); before that it is the
+    /// remaining candidates times the mean degree. The same test brings
+    /// the traversal back top-down once the frontier's edges fall below
+    /// the pool's.
+    fn choose_bottom_up(&self) -> bool {
+        if !self.cfg.direction_optimizing
+            || self.remaining <= self.cfg.par_threshold
+            || self.frontier().len() * DOBFS_NODE_GATE <= self.remaining
+        {
+            return false;
+        }
+        let (g, adj) = (self.g, self.adj);
+        let unexplored = if self.pool_built {
+            self.pool_edges
+        } else {
+            let n = g.num_nodes().max(1);
+            let per_node = if adj == Adjacency::Undirected { 2 } else { 1 };
+            self.remaining.saturating_mul(per_node * g.num_edges()) / n
+        };
+        let frontier_edges: usize = self
+            .frontier()
+            .iter()
+            .map(|&u| adj.degree(g, u, false))
+            .sum();
+        frontier_edges.saturating_mul(self.cfg.alpha) > unexplored
+    }
+
     /// Advances one level; returns the size of the newly built frontier
     /// (0 when the traversal is exhausted).
     pub fn step<O: EdgeMapOps>(&mut self, ops: &O) -> usize {
-        if self.frontier.is_empty() {
+        if self.scratch.frontier.is_empty() {
             return 0;
         }
         self.depth += 1;
         let depth = self.depth;
-        let flen = self.frontier.len();
+        let flen = self.scratch.frontier.len();
         let workers = if flen < self.cfg.par_threshold {
             1
         } else {
             rayon::current_num_threads()
         };
-        let bottom_up = self.cfg.direction_optimizing
-            && flen * self.cfg.alpha > self.remaining
-            && self.remaining > self.cfg.par_threshold;
+        let bottom_up = self.choose_bottom_up();
 
         let g = self.g;
         let adj = self.adj;
+        let scratch = &mut self.scratch;
         if bottom_up {
-            let set = self
+            if !self.pool_built {
+                scratch.pool.clear();
+                ops.fill_pool(g.num_nodes(), workers > 1, &mut scratch.pool);
+                self.pool_built = true;
+            }
+            let set = scratch
                 .in_frontier
                 .get_or_insert_with(|| ClaimSet::new(g.num_nodes()));
-            for &u in self.frontier.as_slice() {
-                set.claim(u as usize);
+            for &u in scratch.frontier.as_slice() {
+                set.put(u as usize, true);
             }
-            let pool = self.pool.get_or_insert_with(|| {
-                (0..g.num_nodes() as NodeId)
-                    .into_par_iter()
-                    .filter(|&v| ops.candidate(v))
-                    .collect()
-            });
             let set = &*set;
-            self.frontier.advance_over(pool, workers, |chunk, out| {
-                for &v in chunk {
-                    if !ops.candidate(v) {
-                        continue;
-                    }
-                    if let Some(u) = adj.find_in(g, v, |u| set.contains(u as usize)) {
-                        if ops.claim(u, v, depth) {
-                            out.push(v);
+            let mut pool_edges = 0;
+            if workers <= 1 {
+                // One pass: sweep the pool and compact the unclaimed
+                // candidates to its front.
+                let pool = &mut scratch.pool;
+                scratch.frontier.advance_with(|out| {
+                    let mut kept = 0;
+                    for i in 0..pool.len() {
+                        let v = pool[i];
+                        if !ops.candidate(v) {
+                            continue;
+                        }
+                        match adj.find_in(g, v, |u| set.contains(u as usize)) {
+                            Some(u) if ops.claim(u, v, depth) => out.push(v),
+                            _ => {
+                                pool[kept] = v;
+                                kept += 1;
+                                pool_edges += adj.degree(g, v, true);
+                            }
                         }
                     }
-                }
-            });
-            // sparse-reset the just-expanded level's membership bits
-            let set = self.in_frontier.as_ref().expect("built above");
-            for &u in self.frontier.previous() {
-                set.release(u as usize);
+                    pool.truncate(kept);
+                });
+            } else {
+                let pool = &scratch.pool;
+                scratch.frontier.advance_over(pool, workers, |chunk, out| {
+                    for &v in chunk {
+                        if !ops.candidate(v) {
+                            continue;
+                        }
+                        if let Some(u) = adj.find_in(g, v, |u| set.contains(u as usize)) {
+                            if ops.claim(u, v, depth) {
+                                out.push(v);
+                            }
+                        }
+                    }
+                });
+                scratch.pool.retain(|&v| {
+                    let keep = ops.candidate(v);
+                    if keep {
+                        pool_edges += adj.degree(g, v, true);
+                    }
+                    keep
+                });
             }
-            self.pool
-                .as_mut()
-                .expect("built above")
-                .retain(|&v| ops.candidate(v));
+            self.pool_edges = pool_edges;
+            // sparse-reset the just-expanded level's membership bits
+            let set = scratch.in_frontier.as_mut().expect("built above");
+            for &u in scratch.frontier.previous() {
+                set.put(u as usize, false);
+            }
         } else {
-            self.frontier.advance(workers, |chunk, out| {
+            scratch.frontier.advance(workers, |chunk, out| {
                 for &u in chunk {
                     adj.for_each_out(g, u, &mut |v| {
                         if ops.claim(u, v, depth) {
@@ -276,7 +421,7 @@ impl<'g, G: GraphView> EdgeMap<'g, G> {
             });
         }
 
-        let added = self.frontier.len();
+        let added = self.scratch.frontier.len();
         self.claimed += added;
         self.remaining = self.remaining.saturating_sub(added);
         added
@@ -313,7 +458,7 @@ impl<'g, G: GraphView> EdgeMap<'g, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swscc_sync::atomic::{AtomicU32, Ordering};
+    use swscc_sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
     /// Plain reachability ops over a visited ClaimSet.
     struct VisitOps {
@@ -500,6 +645,101 @@ mod tests {
                 assert_eq!(a.level(v), b.level(v), "node {v} under {adj:?}");
             }
         }
+    }
+
+    /// [`LevelOps`] counting `candidate` probes. Only bottom-up levels
+    /// probe, so a step that leaves the count unchanged ran top-down.
+    struct ProbedLevelOps {
+        inner: LevelOps,
+        probes: AtomicUsize,
+    }
+
+    impl EdgeMapOps for ProbedLevelOps {
+        fn claim(&self, src: NodeId, dst: NodeId, depth: u32) -> bool {
+            self.inner.claim(src, dst, depth)
+        }
+        fn candidate(&self, v: NodeId) -> bool {
+            self.probes.fetch_add(1, Ordering::Relaxed);
+            self.inner.candidate(v)
+        }
+    }
+
+    /// Runs a direction-optimizing BFS from 0 one step at a time. Returns
+    /// whether each step ran bottom-up, after checking every depth against
+    /// sequential BFS.
+    fn directions(g: &CsrGraph) -> Vec<bool> {
+        let n = g.num_nodes();
+        let ops = ProbedLevelOps {
+            inner: LevelOps::new(n, 0),
+            probes: AtomicUsize::new(0),
+        };
+        let mut em = EdgeMap::new(
+            g,
+            Adjacency::Directed(Direction::Forward),
+            TraversalConfig::direction_optimizing(),
+        );
+        em.seed(0);
+        let mut bottom_up = Vec::new();
+        loop {
+            let before = ops.probes.load(Ordering::Relaxed);
+            let added = em.step(&ops);
+            bottom_up.push(ops.probes.load(Ordering::Relaxed) > before);
+            if added == 0 {
+                break;
+            }
+        }
+        let want = crate::bfs::bfs_levels(g, 0, Direction::Forward);
+        for v in 0..n as NodeId {
+            assert_eq!(ops.inner.level(v), want[v as usize], "depth of node {v}");
+        }
+        bottom_up
+    }
+
+    /// `blob` nodes from `first` on, none reachable from 0: node `first + i`
+    /// has in-edges from the `in_degree` nodes after it (cyclically).
+    fn unreachable_blob(first: u32, blob: u32, in_degree: u32) -> Vec<(u32, u32)> {
+        (0..blob)
+            .flat_map(|i| (1..=in_degree).map(move |k| (first + (i + k) % blob, first + i)))
+            .collect()
+    }
+
+    #[test]
+    fn unreachable_pool_keeps_traversal_top_down() {
+        // 0 -> 1000 spokes -> one sink, beside 4000 nodes the seed never
+        // reaches. At level 2 the frontier is a fifth of the remaining
+        // nodes, but its 1000 edges are dwarfed by the 40 000 in-edges a
+        // bottom-up sweep would scan over the unreachable nodes.
+        let spokes = 1000u32;
+        let sink = spokes + 1;
+        let mut edges: Vec<(u32, u32)> = (1..=spokes).flat_map(|s| [(0, s), (s, sink)]).collect();
+        edges.extend(unreachable_blob(sink + 1, 4000, 10));
+        let g = CsrGraph::from_edges((sink + 1 + 4000) as usize, &edges);
+        let dirs = directions(&g);
+        assert_eq!(dirs.len(), 3, "levels: spokes, sink, empty tail");
+        assert!(dirs.iter().all(|&b| !b), "every level top-down: {dirs:?}");
+    }
+
+    #[test]
+    fn traversal_returns_top_down_when_frontier_edges_shrink() {
+        // 0 -> A (1000 nodes) -5 each-> B (2000 nodes) -> t0 -> t1 -> ...
+        // -> t299, beside 1000 unreachable nodes with in-degree 3. A's
+        // 5000 edges outweigh what the candidates hold, so level 2 runs
+        // bottom-up. B's 2000 edges do not outweigh the remaining pool's
+        // 5299 (t0's 2000, the path's 299, the blob's 3000), so level 3
+        // and the path after it run top-down again.
+        let (a, b, path) = (1000u32, 2000u32, 300u32);
+        let b0 = 1 + a;
+        let t0 = b0 + b;
+        let blob0 = t0 + path;
+        let mut edges: Vec<(u32, u32)> = (1..=a).map(|v| (0, v)).collect();
+        edges.extend((0..a).flat_map(|i| (0..5).map(move |k| (1 + i, b0 + (i * 5 + k) % b))));
+        edges.extend((b0..t0).map(|v| (v, t0)));
+        edges.extend((t0..blob0 - 1).map(|v| (v, v + 1)));
+        edges.extend(unreachable_blob(blob0, 1000, 3));
+        let g = CsrGraph::from_edges((blob0 + 1000) as usize, &edges);
+        let dirs = directions(&g);
+        assert_eq!(&dirs[..3], &[false, true, false], "{dirs:?}");
+        assert!(dirs[2..].iter().all(|&b| !b), "top-down after level 2");
     }
 
     #[test]

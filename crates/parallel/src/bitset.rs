@@ -81,6 +81,20 @@ impl AtomicBitSet {
         self.words[i / 64].fetch_and(!mask, Ordering::Relaxed) & mask != 0
     }
 
+    /// Sets (`on`) or clears bit `i` through exclusive access: a plain
+    /// read-modify-write, no locked instruction.
+    #[inline]
+    pub fn put(&mut self, i: usize, on: bool) {
+        debug_assert!(i < self.len);
+        let mask = 1u64 << (i % 64);
+        let w = self.words[i / 64].get_mut();
+        if on {
+            *w |= mask;
+        } else {
+            *w &= !mask;
+        }
+    }
+
     /// Clears every bit.
     pub fn clear_all(&self) {
         // ordering: Relaxed — bulk reset runs between phases, with the
@@ -143,6 +157,17 @@ mod tests {
         assert!(!b.get(64));
         assert!(!b.clear(64)); // already clear
         assert_eq!(b.count_ones(), 7);
+    }
+
+    #[test]
+    fn put_sets_and_clears_one_bit() {
+        let mut b = AtomicBitSet::new(130);
+        b.put(64, true);
+        b.put(65, true);
+        assert!(b.get(64) && b.get(65));
+        b.put(64, false);
+        assert!(!b.get(64) && b.get(65));
+        assert_eq!(b.count_ones(), 1);
     }
 
     #[test]

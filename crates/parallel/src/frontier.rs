@@ -148,6 +148,16 @@ impl Frontier {
         );
     }
 
+    /// Advances one level on the calling thread: `fill` writes the next
+    /// frontier into the (cleared) buffer it is given, from whatever state
+    /// it owns — the sequential bottom-up sweep, which compacts its
+    /// candidate pool in the same pass.
+    pub fn advance_with(&mut self, fill: impl FnOnce(&mut Vec<u32>)) {
+        std::mem::swap(&mut self.current, &mut self.spare);
+        self.current.clear();
+        fill(&mut self.current);
+    }
+
     /// Like [`advance`](Frontier::advance), but expands an external item
     /// list instead of the current frontier (the bottom-up sweep case,
     /// where the candidate pool — not the frontier — is scanned). The
@@ -273,6 +283,14 @@ impl ClaimSet {
     #[inline]
     pub fn release(&self, i: usize) {
         self.bits.clear(i);
+    }
+
+    /// Claims (`on`) or releases `i` through exclusive access — the cheap
+    /// path for an owner that fills or clears the set between parallel
+    /// phases, such as a traversal marking its frontier.
+    #[inline]
+    pub fn put(&mut self, i: usize, on: bool) {
+        self.bits.put(i, on);
     }
 
     /// Releases every claim.

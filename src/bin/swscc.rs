@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! swscc scc <input> [--algo NAME | --pipeline STAGES] [--threads N] [--scale S]
-//!           [--histogram] [--dobfs]
+//!           [--compressed] [--histogram] [--top-down]
 //!           [--live-compaction auto|always|never] [--timeout SECS]
 //!           [--on-panic fallback|fail] [--inject-fault SITE[:NTH]]
 //! swscc stats <input> [--scale S]
@@ -215,7 +215,9 @@ fn cmd_scc(args: &Args) -> Result<(), CliError> {
                 .unwrap_or(1),
         )?,
     );
-    cfg.direction_optimizing = args.flag_present("dobfs");
+    if args.flag_present("top-down") {
+        cfg.direction_optimizing = SccConfig::paper().direction_optimizing;
+    }
     cfg.live_set_compaction = match args.flag_value("live-compaction").unwrap_or("auto") {
         "auto" => CompactionPolicy::Auto,
         "always" => CompactionPolicy::Always,
@@ -423,7 +425,7 @@ swscc — parallel SCC detection for small-world graphs (SC'13 reproduction)
 
 USAGE:
   swscc scc <input> [--algo NAME | --pipeline STAGES] [--threads N] [--scale S]
-            [--compressed] [--histogram] [--dobfs]
+            [--compressed] [--histogram] [--top-down]
             [--live-compaction auto|always|never] [--timeout SECS]
             [--on-panic fallback|fail] [--inject-fault SITE[:NTH]]
   swscc stats <input> [--scale S]
@@ -451,6 +453,8 @@ USAGE:
             parallel --algo (fwbw baseline method1 method2 coloring
             multistep), not the sequential oracles. Prints the memory
             footprint of the compressed form before the run.
+--top-down: run the peel's BFS top-down at every level, as the paper
+            does, instead of the default direction-optimizing BFS
 --timeout:  abort cleanly with exit code 124 after SECS wall-clock seconds
 --on-panic: fallback (default) absorbs worker panics by retrying or
             degrading to a sequential finish; fail exits 70 on first panic

@@ -246,6 +246,42 @@ fn compressed_fwbw_agrees_with_tarjan_via_cli() {
 }
 
 #[test]
+fn default_and_top_down_bfs_agree_with_tarjan_via_cli() {
+    let summary = |args: &[&str]| {
+        let mut all = vec!["scc", "dataset:livej", "--scale", "0.05", "--threads", "2"];
+        all.extend_from_slice(args);
+        let o = swscc(&all);
+        assert!(
+            o.status.success(),
+            "{args:?} failed: {}",
+            String::from_utf8_lossy(&o.stderr)
+        );
+        stdout(&o)
+            .lines()
+            .filter(|l| {
+                l.starts_with("components:")
+                    || l.starts_with("largest scc:")
+                    || l.starts_with("trivial:")
+            })
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    };
+    let want = summary(&["--algo", "tarjan"]);
+    assert_eq!(want.len(), 3, "summary lines missing: {want:?}");
+    for algo in ["method2", "fwbw"] {
+        assert_eq!(summary(&["--algo", algo]), want, "{algo}, default BFS");
+        assert_eq!(
+            summary(&["--algo", algo, "--top-down"]),
+            want,
+            "{algo}, --top-down"
+        );
+    }
+    let help = stdout(&swscc(&["help"]));
+    assert!(help.contains("--top-down"), "usage names the switch");
+    assert!(!help.contains("--dobfs"), "the old switch is gone");
+}
+
+#[test]
 fn compressed_oracle_exits_config_code() {
     // The sequential oracles index raw CSR slices: no compressed form.
     let o = swscc(&["scc", "dataset:baidu", "--compressed", "--algo", "tarjan"]);

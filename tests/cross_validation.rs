@@ -129,3 +129,50 @@ fn agree_with_duplicate_edges_and_self_loops() {
     );
     assert_all_agree(&g, "dups+loops");
 }
+
+#[test]
+fn paper_top_down_bfs_agrees_on_raw_and_compressed() {
+    // `SccConfig::default()` peels with direction-optimizing BFS, so the
+    // rows above cover the bottom-up path. These rows keep the paper's
+    // top-down peel covered, on both graph backends.
+    use swscc::graph::CompressedCsr;
+    use swscc::{run_pipeline, Pipeline, RunGuard};
+    let mut graphs: Vec<(String, CsrGraph)> = Dataset::all()
+        .into_iter()
+        .map(|d| (d.name().to_string(), d.generate(0.02, 5)))
+        .collect();
+    graphs.push(("dense ER".into(), erdos_renyi(3000, 12000, 7)));
+    for (label, g) in &graphs {
+        let want = detect_scc(g, Algorithm::Tarjan, &SccConfig::default())
+            .0
+            .canonical_labels();
+        let z = CompressedCsr::from_csr(g);
+        // Every algorithm with a stock stage list: the parallel ones.
+        for (algo, pipeline) in Algorithm::all()
+            .into_iter()
+            .filter_map(|a| Some((a, Pipeline::stock(a)?)))
+        {
+            for threads in [1usize, 2] {
+                let cfg = SccConfig {
+                    threads,
+                    ..SccConfig::paper()
+                };
+                let (raw, _) = detect_scc(g, algo, &cfg);
+                assert_eq!(
+                    raw.canonical_labels(),
+                    want,
+                    "{} (paper BFS, {threads} threads) disagrees with tarjan on {label}",
+                    algo.name()
+                );
+                let (packed, _) = run_pipeline(&z, &pipeline, &cfg, &RunGuard::new())
+                    .unwrap_or_else(|e| panic!("{} on compressed {label}: {e}", algo.name()));
+                assert_eq!(
+                    packed.canonical_labels(),
+                    want,
+                    "{} (paper BFS, {threads} threads) disagrees with tarjan on compressed {label}",
+                    algo.name()
+                );
+            }
+        }
+    }
+}
