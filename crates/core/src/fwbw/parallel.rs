@@ -42,6 +42,9 @@ pub struct ParFwbwOutcome {
     pub trials: usize,
     /// Whether a giant SCC (≥ threshold) was found.
     pub giant_found: bool,
+    /// BFS levels the peel's traversals ran bottom-up (0 under the
+    /// paper's top-down BFS).
+    pub bottom_up_levels: usize,
 }
 
 /// Runs the phase-1 parallel FW-BW peel starting from the partition
@@ -142,6 +145,7 @@ pub fn par_fwbw<G: GraphView>(
         resolved,
         trials,
         giant_found,
+        bottom_up_levels: scratch.bottom_up_levels(),
     }
 }
 
@@ -385,10 +389,12 @@ mod tests {
         }
     }
 
-    fn dobfs_cfg() -> SccConfig {
+    fn paper_cfg() -> SccConfig {
         SccConfig {
-            direction_optimizing: true,
-            ..cfg()
+            threads: 2,
+            giant_threshold: 0.25,
+            max_trials: 5,
+            ..SccConfig::paper()
         }
     }
 
@@ -492,9 +498,11 @@ mod tests {
         let g = CsrGraph::from_edges(n as usize, &edges);
 
         let s1 = AlgoState::new(&g);
-        let o1 = par_fwbw(&s1, &cfg(), crate::state::INITIAL_COLOR);
+        let o1 = par_fwbw(&s1, &paper_cfg(), crate::state::INITIAL_COLOR);
         let s2 = AlgoState::new(&g);
-        let o2 = par_fwbw(&s2, &dobfs_cfg(), crate::state::INITIAL_COLOR);
+        let o2 = par_fwbw(&s2, &cfg(), crate::state::INITIAL_COLOR);
+        assert_eq!(o1.bottom_up_levels, 0, "paper() runs top-down");
+        assert!(o2.bottom_up_levels > 0, "default never went bottom-up");
         assert_eq!(o1.resolved, o2.resolved);
         assert_eq!(o1.giant_found, o2.giant_found);
         assert_eq!(s1.count_alive(), s2.count_alive());

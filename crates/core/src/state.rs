@@ -63,7 +63,8 @@ pub struct AlgoState<'g, G: GraphView = CsrGraph> {
     /// Watchdog headroom multiplier (see [`crate::SccConfig::watchdog_factor`]).
     watchdog_factor: usize,
     /// Counter slots of [`crate::trim::par_trim`], kept between its calls
-    /// so a run allocates them once (empty until the first trim).
+    /// so a run allocates them once (empty until the first trim and after
+    /// a trim that leaves nothing alive).
     trim_slots: Mutex<Vec<AtomicU32>>,
 }
 
@@ -356,6 +357,8 @@ impl<'g, G: GraphView> AlgoState<'g, G> {
     /// Panics (debug assertions) if any node is unresolved.
     pub fn into_result(self) -> SccResult {
         debug_assert_eq!(self.mark_count(), self.num_nodes(), "unresolved nodes");
+        // Free the trim counters before the result is built beside `comp`.
+        drop(self.trim_slots);
         let raw: Vec<u32> = self.comp.into_iter().map(AtomicU32::into_inner).collect();
         debug_assert!(raw.iter().all(|&c| c != u32::MAX), "unassigned component");
         SccResult::from_assignment(raw)

@@ -115,9 +115,12 @@ impl Counters {
         Counters(slots)
     }
 
-    /// Hands the buffer back for the run's next trim.
+    /// Hands the buffer back for the run's next trim, or frees it when
+    /// the trim left nothing alive (no later trim can need it).
     fn give_back<G: GraphView>(self, state: &AlgoState<'_, G>) {
-        *state.trim_slots().lock() = self.0;
+        if state.count_alive() > 0 {
+            *state.trim_slots().lock() = self.0;
+        }
     }
 
     #[inline]

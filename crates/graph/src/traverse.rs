@@ -52,14 +52,6 @@ pub const DEFAULT_PAR_FRONTIER_THRESHOLD: usize = 256;
 /// (EXPERIMENTS.md §4.2).
 pub const DEFAULT_DOBFS_ALPHA: usize = 2;
 
-/// A level is weighed for a bottom-up sweep only when its frontier holds
-/// more than `1 / DOBFS_NODE_GATE` of the remaining candidates. Every
-/// level the edge test sent bottom-up on the dataset analogs had a
-/// frontier of at least a seventh of them; below the gate the per-level
-/// degree sum is skipped, which matters on graphs of many thin levels
-/// (`ca-road`'s peel runs about 2,000).
-const DOBFS_NODE_GATE: usize = 16;
-
 /// Tuning knobs of the traversal kernel.
 #[derive(Clone, Copy, Debug)]
 pub struct TraversalConfig {
@@ -195,6 +187,16 @@ pub struct EdgeMapScratch {
     /// All-clear between steps: each bottom-up step releases the bits it
     /// set before it returns.
     in_frontier: Option<ClaimSet>,
+    /// Levels run bottom-up by every traversal that used this scratch.
+    bottom_up_levels: usize,
+}
+
+impl EdgeMapScratch {
+    /// Levels run bottom-up by every traversal that used this scratch —
+    /// 0 unless the direction-optimizing switch ever fired.
+    pub fn bottom_up_levels(&self) -> usize {
+        self.bottom_up_levels
+    }
 }
 
 /// The unified level-synchronous traversal driver. See the module docs.
@@ -294,6 +296,12 @@ impl<'g, G: GraphView> EdgeMap<'g, G> {
         self.claimed
     }
 
+    /// Levels run bottom-up so far, counting those of earlier traversals
+    /// that used this kernel's scratch.
+    pub fn bottom_up_levels(&self) -> usize {
+        self.scratch.bottom_up_levels
+    }
+
     /// The Beamer switch, decided per level: go bottom-up when the edges
     /// the frontier would expand top-down, times
     /// [`alpha`](TraversalConfig::alpha), outweigh the edges a bottom-up
@@ -304,10 +312,7 @@ impl<'g, G: GraphView> EdgeMap<'g, G> {
     /// the traversal back top-down once the frontier's edges fall below
     /// the pool's.
     fn choose_bottom_up(&self) -> bool {
-        if !self.cfg.direction_optimizing
-            || self.remaining <= self.cfg.par_threshold
-            || self.frontier().len() * DOBFS_NODE_GATE <= self.remaining
-        {
+        if !self.cfg.direction_optimizing || self.remaining <= self.cfg.par_threshold {
             return false;
         }
         let (g, adj) = (self.g, self.adj);
@@ -358,32 +363,9 @@ impl<'g, G: GraphView> EdgeMap<'g, G> {
                 set.put(u as usize, true);
             }
             let set = &*set;
-            let mut pool_edges = 0;
-            if workers <= 1 {
-                // One pass: sweep the pool and compact the unclaimed
-                // candidates to its front.
-                let pool = &mut scratch.pool;
-                scratch.frontier.advance_with(|out| {
-                    let mut kept = 0;
-                    for i in 0..pool.len() {
-                        let v = pool[i];
-                        if !ops.candidate(v) {
-                            continue;
-                        }
-                        match adj.find_in(g, v, |u| set.contains(u as usize)) {
-                            Some(u) if ops.claim(u, v, depth) => out.push(v),
-                            _ => {
-                                pool[kept] = v;
-                                kept += 1;
-                                pool_edges += adj.degree(g, v, true);
-                            }
-                        }
-                    }
-                    pool.truncate(kept);
-                });
-            } else {
-                let pool = &scratch.pool;
-                scratch.frontier.advance_over(pool, workers, |chunk, out| {
+            scratch
+                .frontier
+                .advance_over(&scratch.pool, workers, |chunk, out| {
                     for &v in chunk {
                         if !ops.candidate(v) {
                             continue;
@@ -395,20 +377,21 @@ impl<'g, G: GraphView> EdgeMap<'g, G> {
                         }
                     }
                 });
-                scratch.pool.retain(|&v| {
-                    let keep = ops.candidate(v);
-                    if keep {
-                        pool_edges += adj.degree(g, v, true);
-                    }
-                    keep
-                });
-            }
+            let mut pool_edges = 0;
+            scratch.pool.retain(|&v| {
+                let keep = ops.candidate(v);
+                if keep {
+                    pool_edges += adj.degree(g, v, true);
+                }
+                keep
+            });
             self.pool_edges = pool_edges;
             // sparse-reset the just-expanded level's membership bits
             let set = scratch.in_frontier.as_mut().expect("built above");
             for &u in scratch.frontier.previous() {
                 set.put(u as usize, false);
             }
+            scratch.bottom_up_levels += 1;
         } else {
             scratch.frontier.advance(workers, |chunk, out| {
                 for &u in chunk {
@@ -458,7 +441,7 @@ impl<'g, G: GraphView> EdgeMap<'g, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swscc_sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+    use swscc_sync::atomic::{AtomicU32, Ordering};
 
     /// Plain reachability ops over a visited ClaimSet.
     struct VisitOps {
@@ -647,52 +630,43 @@ mod tests {
         }
     }
 
-    /// [`LevelOps`] counting `candidate` probes. Only bottom-up levels
-    /// probe, so a step that leaves the count unchanged ran top-down.
-    struct ProbedLevelOps {
-        inner: LevelOps,
-        probes: AtomicUsize,
-    }
-
-    impl EdgeMapOps for ProbedLevelOps {
-        fn claim(&self, src: NodeId, dst: NodeId, depth: u32) -> bool {
-            self.inner.claim(src, dst, depth)
-        }
-        fn candidate(&self, v: NodeId) -> bool {
-            self.probes.fetch_add(1, Ordering::Relaxed);
-            self.inner.candidate(v)
-        }
-    }
-
-    /// Runs a direction-optimizing BFS from 0 one step at a time. Returns
-    /// whether each step ran bottom-up, after checking every depth against
-    /// sequential BFS.
-    fn directions(g: &CsrGraph) -> Vec<bool> {
+    /// Runs a direction-optimizing BFS from 0 one step at a time on a
+    /// pool of `threads` workers. Returns whether each step ran bottom-up,
+    /// after checking every depth against sequential BFS.
+    fn directions_on(g: &CsrGraph, threads: usize) -> Vec<bool> {
         let n = g.num_nodes();
-        let ops = ProbedLevelOps {
-            inner: LevelOps::new(n, 0),
-            probes: AtomicUsize::new(0),
-        };
-        let mut em = EdgeMap::new(
-            g,
-            Adjacency::Directed(Direction::Forward),
-            TraversalConfig::direction_optimizing(),
-        );
-        em.seed(0);
-        let mut bottom_up = Vec::new();
-        loop {
-            let before = ops.probes.load(Ordering::Relaxed);
-            let added = em.step(&ops);
-            bottom_up.push(ops.probes.load(Ordering::Relaxed) > before);
-            if added == 0 {
-                break;
+        let ops = LevelOps::new(n, 0);
+        let bottom_up = swscc_parallel::pool::with_pool(threads, || {
+            let mut em = EdgeMap::new(
+                g,
+                Adjacency::Directed(Direction::Forward),
+                TraversalConfig::direction_optimizing(),
+            );
+            em.seed(0);
+            let mut bottom_up = Vec::new();
+            loop {
+                let before = em.bottom_up_levels();
+                let added = em.step(&ops);
+                bottom_up.push(em.bottom_up_levels() > before);
+                if added == 0 {
+                    break;
+                }
             }
-        }
+            bottom_up
+        });
         let want = crate::bfs::bfs_levels(g, 0, Direction::Forward);
         for v in 0..n as NodeId {
-            assert_eq!(ops.inner.level(v), want[v as usize], "depth of node {v}");
+            assert_eq!(ops.level(v), want[v as usize], "depth of node {v}");
         }
         bottom_up
+    }
+
+    /// [`directions_on`] on one worker (sequential pool fill and sweep) and
+    /// on two (parallel ones); both must take the same directions.
+    fn directions(g: &CsrGraph) -> Vec<bool> {
+        let seq = directions_on(g, 1);
+        assert_eq!(directions_on(g, 2), seq, "directions differ by workers");
+        seq
     }
 
     /// `blob` nodes from `first` on, none reachable from 0: node `first + i`

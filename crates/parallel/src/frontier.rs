@@ -148,16 +148,6 @@ impl Frontier {
         );
     }
 
-    /// Advances one level on the calling thread: `fill` writes the next
-    /// frontier into the (cleared) buffer it is given, from whatever state
-    /// it owns — the sequential bottom-up sweep, which compacts its
-    /// candidate pool in the same pass.
-    pub fn advance_with(&mut self, fill: impl FnOnce(&mut Vec<u32>)) {
-        std::mem::swap(&mut self.current, &mut self.spare);
-        self.current.clear();
-        fill(&mut self.current);
-    }
-
     /// Like [`advance`](Frontier::advance), but expands an external item
     /// list instead of the current frontier (the bottom-up sweep case,
     /// where the candidate pool — not the frontier — is scanned). The

@@ -17,7 +17,7 @@ use swscc::graph::bfs::{
 };
 use swscc::graph::traverse::DEFAULT_PAR_FRONTIER_THRESHOLD;
 use swscc::parallel::pool::with_pool;
-use swscc::{CsrGraph, SccConfig};
+use swscc::{CsrGraph, PivotStrategy, SccConfig};
 
 /// Strategy: a random directed graph with 1..=max_n nodes (self-loops and
 /// parallel edges allowed — the kernel must shrug them off).
@@ -120,7 +120,13 @@ fn fwbw_claimed_sets_deterministic() {
         };
         with_pool(threads, || {
             let s = AlgoState::new(&g);
-            par_fwbw(&s, &cfg, INITIAL_COLOR);
+            let out = par_fwbw(&s, &cfg, INITIAL_COLOR);
+            // Vacuity guard: the dobfs rows must exercise bottom-up levels.
+            assert_eq!(
+                out.bottom_up_levels > 0,
+                dobfs,
+                "bottom-up levels at {threads} threads (dobfs={dobfs})"
+            );
             (0..g.num_nodes() as u32).map(|v| s.color(v)).collect()
         })
     };
@@ -196,18 +202,36 @@ fn frontier_exactly_at_par_threshold() {
 
 #[test]
 fn bottom_up_switch_boundary() {
-    // remaining must strictly exceed the threshold for bottom-up to
-    // engage: sweep graph sizes that put `remaining` on each side of the
-    // boundary at the switch decision, and demand sequential equality.
-    for n in [
-        DEFAULT_PAR_FRONTIER_THRESHOLD,
-        DEFAULT_PAR_FRONTIER_THRESHOLD + 1,
-        DEFAULT_PAR_FRONTIER_THRESHOLD * 2,
-        DEFAULT_PAR_FRONTIER_THRESHOLD * 4,
-    ] {
+    // A hub linked both ways to every other node. From the hub, the first
+    // level's edges outweigh the candidates' at every size, so only
+    // `remaining > threshold` decides whether it runs bottom-up. Sweep
+    // sizes that put `remaining` (n - 1) on each side of the boundary and
+    // demand sequential equality; the peel from the hub must go bottom-up
+    // exactly above the boundary.
+    let t = DEFAULT_PAR_FRONTIER_THRESHOLD;
+    for (n, bottom_up) in [(t, false), (t + 1, false), (t + 2, true), (t * 4, true)] {
+        let edges: Vec<(u32, u32)> = (1..n as u32).flat_map(|v| [(0, v), (v, 0)]).collect();
+        let g = CsrGraph::from_edges(n, &edges);
+        for dir in [Direction::Forward, Direction::Backward] {
+            let want = bfs_levels(&g, 0, dir);
+            let got = with_pool(2, || par_bfs_levels_dobfs(&g, 0, dir));
+            assert_eq!(got, want, "n={n} {dir:?}");
+        }
+        let cfg = SccConfig {
+            direction_optimizing: true,
+            pivot: PivotStrategy::MaxDegreeProduct,
+            max_trials: 1,
+            ..SccConfig::with_threads(2)
+        };
+        let out = with_pool(2, || par_fwbw(&AlgoState::new(&g), &cfg, INITIAL_COLOR));
+        assert_eq!(out.resolved, n, "n={n}: one SCC");
+        assert_eq!(out.bottom_up_levels > 0, bottom_up, "n={n}: {out:?}");
+        // Degree-3 rings of the same sizes, which go bottom-up only once a
+        // frontier holds half the remaining nodes (n ≥ 768 in the peel),
+        // must match sequential BFS too.
         let g = ring_with_chords(n as u32);
         let want = bfs_levels(&g, 0, Direction::Forward);
         let got = with_pool(2, || par_bfs_levels_dobfs(&g, 0, Direction::Forward));
-        assert_eq!(got, want, "n={n}");
+        assert_eq!(got, want, "ring n={n}");
     }
 }
