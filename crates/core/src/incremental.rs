@@ -69,7 +69,7 @@
 use crate::config::SccConfig;
 use crate::error::{RunGuard, SccError};
 use crate::pipeline::{run_pipeline, Pipeline};
-use crate::shared::{topo_ranks, POS_GAP};
+use crate::shared::{topo_ranks, Stamps, POS_GAP};
 use crate::snapshot::SccSnapshot;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::cmp::Reverse;
@@ -177,10 +177,9 @@ pub struct IncrementalEngine<G: CompactBackend> {
 /// arrays fit.
 #[derive(Default)]
 struct SurvivalScratch {
-    /// `stamps[n] == current` marks node `n` reached forward from `u`,
-    /// `current + 1` reached backward from `v`; older values are stale.
-    stamps: Vec<u32>,
-    current: u32,
+    /// Two stamps per search: the first marks a node reached forward
+    /// from `u`, the second reached backward from `v`.
+    stamps: Stamps,
     /// Current levels of the forward (0) and backward (1) sides.
     frontier: [Vec<NodeId>; 2],
     /// The level being built.
@@ -216,7 +215,7 @@ const IN_M: u8 = 4;
 /// `stamps[c] == current`, so a new search clears every mark in O(1).
 #[derive(Default)]
 struct Marks {
-    stamps: Vec<u32>,
+    stamps: Stamps,
     flags: Vec<u8>,
     current: u32,
 }
@@ -224,16 +223,10 @@ struct Marks {
 impl Marks {
     /// Clears every mark, sized for `ids` component ids.
     fn begin(&mut self, ids: usize) {
-        if self.stamps.len() < ids {
-            self.stamps.resize(ids, 0);
+        self.current = self.stamps.begin(ids, 1);
+        if self.flags.len() < ids {
             self.flags.resize(ids, 0);
         }
-        // A wrap clears the array for real.
-        if self.current == u32::MAX {
-            self.stamps.fill(0);
-            self.current = 0;
-        }
-        self.current += 1;
     }
 
     /// Whether `c` carries any of `flags`.
@@ -432,16 +425,8 @@ impl<G: CompactBackend> IncrementalEngine<G> {
             survival: s,
             ..
         } = self;
-        if s.stamps.len() < graph.num_nodes() {
-            s.stamps.resize(graph.num_nodes(), 0);
-        }
-        // Two fresh marks per search; a wrap clears the array for real.
-        if s.current >= u32::MAX - 2 {
-            s.stamps.fill(0);
-            s.current = 0;
-        }
-        s.current += 2;
-        let marks = [s.current, s.current + 1];
+        let first = s.stamps.begin(graph.num_nodes(), 2);
+        let marks = [first, first + 1];
         s.stamps[u as usize] = marks[0];
         s.stamps[v as usize] = marks[1];
         for (side, start) in [u, v].into_iter().enumerate() {

@@ -6,7 +6,6 @@
 use crate::result::SccResult;
 use std::time::{Duration, Instant};
 use swscc_parallel::QueueStats;
-use swscc_sync::atomic::{AtomicUsize, Ordering};
 use swscc_sync::Mutex;
 
 /// The phases of the paper's algorithms, in pipeline order.
@@ -194,7 +193,6 @@ pub struct Collector {
     task_log: Mutex<Vec<TaskLogEntry>>,
     task_log_limit: usize,
     recoveries: Mutex<Vec<RecoveryEvent>>,
-    pub(crate) fwbw_trials: AtomicUsize,
 }
 
 impl Collector {
@@ -206,7 +204,6 @@ impl Collector {
             task_log: Mutex::new(Vec::new()),
             task_log_limit,
             recoveries: Mutex::new(Vec::new()),
-            fwbw_trials: AtomicUsize::new(0),
         }
     }
 
@@ -249,6 +246,8 @@ impl Collector {
         }
     }
 
+    /// Closes the run into its report. [`RunReport::fwbw_trials`] is left
+    /// 0: the pipeline engine counts trials and fills it in.
     pub fn into_report(self, queue: QueueStats, initial_tasks: usize) -> RunReport {
         RunReport {
             total_time: self.start.elapsed(),
@@ -256,9 +255,7 @@ impl Collector {
             phase_resolved: self.phase_resolved.into_inner(),
             queue,
             initial_tasks,
-            // ordering: read at report build, after every phase's workers
-            // have joined; nothing concurrent remains.
-            fwbw_trials: self.fwbw_trials.load(Ordering::Relaxed),
+            fwbw_trials: 0,
             task_log: self.task_log.into_inner(),
             recoveries: self.recoveries.into_inner(),
         }

@@ -4,12 +4,13 @@
 //! The paper itself frames its methods as *compositions* — Method 2
 //! (Alg. 9) is Method 1 (Alg. 6) plus Par-Trim2 (Alg. 8) and Par-WCC
 //! (Alg. 7) spliced into the same skeleton. This module makes that
-//! composition literal: each building block is a [`PhaseKernel`], a
-//! pipeline is a validated list of [`Stage`]s, and [`run_pipeline`] is the
-//! single engine loop that owns — exactly once — everything a per-algorithm
-//! driver would otherwise copy-paste:
+//! composition literal: each building block is a [`Stage`], a pipeline is
+//! a validated list of them, and [`run_pipeline`] is the single engine
+//! loop that matches on each stage, calls its kernel, and owns — exactly
+//! once — everything a per-algorithm driver would otherwise copy-paste:
 //!
-//! * [`Collector`] phase timing and Fig. 7/8 resolution attribution,
+//! * [`Collector`] phase timing and Fig. 7/8 resolution attribution (one
+//!   phase per stage, see below),
 //! * interrupt polling at stage boundaries (`driver::check_interrupt`),
 //! * panic capture and the retry/degrade/restart recovery policy
 //!   (`driver::catch_phase`, `driver::run_queue_with_recovery`,
@@ -46,6 +47,20 @@
 //! its partition already dissolved, a `wcc` with no `tasks` to consume its
 //! groups) run as no-ops rather than erroring: the rules reject *unsound*
 //! pipelines, not unprofitable ones.
+//!
+//! # Phase attribution
+//!
+//! The engine times every stage as a whole and books its wall-clock time
+//! and resolved nodes under exactly one Fig. 7 [`Phase`]; no stage splits
+//! its own time across phases.
+//!
+//! | Stage | Phase |
+//! |---|---|
+//! | the pipeline's first `trim` | [`Phase::ParTrim`] |
+//! | every later `trim`, `trim2` | [`Phase::ParTrim2`] (Par-Trim′) |
+//! | `fwbw`, `peel` | [`Phase::ParFwbw`] |
+//! | `wcc`, `colortail` | [`Phase::ParWcc`] |
+//! | `tasks`, `serial`, `coloring` | [`Phase::RecurFwbw`] |
 
 mod driver;
 
@@ -62,7 +77,7 @@ use crate::wcc::run_wcc;
 use rayon::prelude::*;
 use std::sync::Arc;
 use swscc_graph::bfs::Direction;
-use swscc_graph::{CsrGraph, GraphView, NodeId};
+use swscc_graph::{GraphView, NodeId};
 use swscc_parallel::{pool::with_pool, QueueStats, TwoLevelQueue};
 use swscc_sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
@@ -76,13 +91,11 @@ pub const COLOR_TAIL_MAX_ROUNDS: usize = 8;
 
 /// One composable building block of an SCC pipeline.
 ///
-/// Each stage names a [`PhaseKernel`]; [`Stage::name`] is the spelling the
-/// CLI's `--pipeline` flag accepts.
+/// [`Stage::name`] is the spelling the CLI's `--pipeline` flag accepts;
+/// the module docs say which phase each stage is reported under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Par-Trim (Alg. 4) to fixpoint. The first `trim` of a pipeline is
-    /// attributed to [`Phase::ParTrim`], later ones to [`Phase::ParTrim2`]
-    /// (the Fig. 7 "Par-Trim′" convention).
+    /// Par-Trim (Alg. 4) to fixpoint.
     Trim,
     /// Data-parallel FW-BW peel of the giant SCC (§3.2), with the
     /// configured pivot strategy and trial budget.
@@ -97,11 +110,13 @@ pub enum Stage {
     /// as ready-made work items.
     Wcc,
     /// Orzan max-label-propagation rounds until the residue is exhausted
-    /// (terminal).
+    /// (terminal). The round count lands in [`RunReport::fwbw_trials`]
+    /// and [`RunReport::initial_tasks`].
     Coloring,
-    /// Multistep's bounded Coloring tail: color-respecting rounds with
-    /// interleaved trims until the residue drops below
+    /// Multistep's bounded Coloring tail: the same rounds with a trim
+    /// after each, until the residue drops below
     /// [`COLOR_TAIL_SERIAL_CUTOFF`] or [`COLOR_TAIL_MAX_ROUNDS`] is hit.
+    /// The round count is added to [`RunReport::fwbw_trials`].
     ColorTail,
     /// Sequential Tarjan on the induced residual subgraph (terminal).
     Serial,
@@ -155,6 +170,19 @@ impl Stage {
     /// invalidating the initial whole-graph partition the peels target.
     fn repartitions(self) -> bool {
         matches!(self, Stage::Wcc | Stage::ColorTail)
+    }
+
+    /// The Fig. 7 phase this stage's wall-clock time and resolved nodes
+    /// count under (the table in the module docs). `trimmed` says whether
+    /// an earlier stage of the pipeline was a `trim`.
+    fn phase(self, trimmed: bool) -> Phase {
+        match self {
+            Stage::Trim if !trimmed => Phase::ParTrim,
+            Stage::Trim | Stage::Trim2 => Phase::ParTrim2,
+            Stage::Fwbw | Stage::Peel => Phase::ParFwbw,
+            Stage::Wcc | Stage::ColorTail => Phase::ParWcc,
+            Stage::Tasks | Stage::Serial | Stage::Coloring => Phase::RecurFwbw,
+        }
     }
 }
 
@@ -333,37 +361,6 @@ impl Pipeline {
             SCAN_K
         }
     }
-
-    /// Compiles the stage list into kernel instances, assigning the
-    /// Fig. 7 phase tags (first `trim` → `ParTrim`, later trims →
-    /// `ParTrim2`).
-    fn compile<G: GraphView>(&self) -> Vec<Box<dyn PhaseKernel<G>>> {
-        let mut seen_trim = false;
-        self.stages
-            .iter()
-            .map(|&s| -> Box<dyn PhaseKernel<G>> {
-                match s {
-                    Stage::Trim => {
-                        let phase = if seen_trim {
-                            Phase::ParTrim2
-                        } else {
-                            seen_trim = true;
-                            Phase::ParTrim
-                        };
-                        Box::new(TrimKernel { phase })
-                    }
-                    Stage::Fwbw => Box::new(FwbwKernel { single_peel: false }),
-                    Stage::Peel => Box::new(FwbwKernel { single_peel: true }),
-                    Stage::Trim2 => Box::new(Trim2Kernel),
-                    Stage::Wcc => Box::new(WccKernel),
-                    Stage::Coloring => Box::new(ColoringKernel),
-                    Stage::ColorTail => Box::new(ColorTailKernel),
-                    Stage::Serial => Box::new(SerialKernel),
-                    Stage::Tasks => Box::new(TasksKernel),
-                }
-            })
-            .collect()
-    }
 }
 
 impl std::fmt::Display for Pipeline {
@@ -379,83 +376,41 @@ impl std::fmt::Display for Pipeline {
     }
 }
 
-/// Shared engine context handed to every kernel: the run configuration,
-/// the instrumentation sink, and the cross-stage hand-off slots.
-pub struct PipelineCtx<'a> {
-    /// The run configuration.
-    pub cfg: &'a SccConfig,
+/// Cross-stage state of one run: the configuration, the instrumentation
+/// sink, and the hand-off slots the stages fill for each other and for
+/// the report.
+struct PipelineCtx<'a> {
+    cfg: &'a SccConfig,
     /// The instrumentation sink (phase times, task log, recoveries).
-    pub collector: &'a Collector,
-    /// Par-WCC → Tasks hand-off: groups produced by a [`Stage::Wcc`]
-    /// kernel, consumed (instead of a fresh color scan) by the next
+    collector: &'a Collector,
+    /// Par-WCC → Tasks hand-off: groups produced by [`Stage::Wcc`],
+    /// consumed (instead of a fresh color scan) by the next
     /// [`Stage::Tasks`]. Stale entries are harmless — task processing
     /// skips resolved members.
-    pub groups: Option<Vec<(Color, Vec<NodeId>)>>,
-    /// Work-queue statistics reported by a [`Stage::Tasks`] kernel.
-    pub queue_stats: QueueStats,
+    groups: Option<Vec<(Color, Vec<NodeId>)>>,
+    /// Work-queue statistics reported by [`Stage::Tasks`].
+    queue_stats: QueueStats,
     /// Work items seeding the recursive phase (or Coloring rounds, for
-    /// the stock Coloring pipeline's legacy report shape).
-    pub initial_tasks: usize,
+    /// the stock Coloring pipeline's report shape).
+    initial_tasks: usize,
+    /// Peel trials plus Coloring and ColorTail rounds.
+    fwbw_trials: usize,
     /// The composition's work-queue K default ([`Pipeline::default_k`]).
-    pub k_default: usize,
+    k_default: usize,
 }
 
 /// How one stage run ended short of success. `Fatal` propagates as-is;
 /// `Dirty` means shared state may hold partial SCC claims and the engine
 /// must discard everything and restart sequentially
-/// (`driver::recover_full_restart`). The engine's recovery machinery
-/// returns it too, so kernels and engine share one failure type.
-pub enum StageError {
+/// (`driver::recover_full_restart`). The work-queue recovery returns it
+/// too, so stages and engine share one failure type.
+enum StageError {
     /// A clean typed failure (interrupt, or a panic under
     /// [`crate::PanicPolicy::Fail`]).
     Fatal(SccError),
     /// A dirty panic under [`crate::PanicPolicy::Fallback`]; carries the
     /// panic text.
     Dirty(String),
-}
-
-/// What a completed stage reports back to the engine.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseOutcome {
-    /// Nodes this stage resolved, attributed to the kernel's phase tag by
-    /// the engine (composite kernels that attribute internally report 0).
-    pub resolved: usize,
-}
-
-/// One composable pipeline stage: a named kernel the engine times,
-/// guards, and sequences.
-///
-/// Implementations mutate the shared [`AlgoState`] (colors, marks,
-/// component output) and use [`PipelineCtx`] for configuration and
-/// cross-stage hand-offs. The *engine* owns the cross-cutting concerns:
-/// kernels never poll the interrupt at stage granularity, never call
-/// `driver::catch_phase`, and never record recovery events themselves —
-/// the engine wraps every non-self-recovering kernel in a panic boundary
-/// and maps a caught panic to the dirty-restart policy.
-pub trait PhaseKernel<G: GraphView = CsrGraph> {
-    /// Stage name, as spelled in `--pipeline` specs.
-    fn name(&self) -> &'static str;
-
-    /// The Fig. 7 phase the engine attributes this stage's wall-clock
-    /// time and resolved-node count to. `None` for composite kernels
-    /// (Coloring rounds, the Multistep tail) that attribute their
-    /// sub-steps internally via [`PipelineCtx::collector`].
-    fn phase(&self) -> Option<Phase>;
-
-    /// Whether the kernel manages its own panic/recovery boundary. Only
-    /// the work-queue stage returns `true`: its boundary panics are
-    /// recoverable in place (retry / degrade), which the blanket dirty
-    /// boundary the engine wraps around everything else cannot express.
-    fn self_recovering(&self) -> bool {
-        false
-    }
-
-    /// Runs the stage to completion (or typed failure).
-    fn run(
-        &self,
-        state: &AlgoState<'_, G>,
-        ctx: &mut PipelineCtx<'_>,
-    ) -> Result<PhaseOutcome, StageError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -466,11 +421,11 @@ pub trait PhaseKernel<G: GraphView = CsrGraph> {
 /// behind every parallel algorithm and every custom `--pipeline`
 /// composition.
 ///
-/// The engine polls the guard at stage boundaries, wraps data-parallel
-/// stages in a dirty panic boundary (caught panic → full sequential
-/// restart under [`crate::PanicPolicy::Fallback`]), compacts the
-/// live-residue set between stages, and assembles the per-phase
-/// [`RunReport`].
+/// The engine polls the guard at stage boundaries, times each stage under
+/// its phase, wraps data-parallel stages in a dirty panic boundary (caught
+/// panic → full sequential restart under [`crate::PanicPolicy::Fallback`]),
+/// compacts the live-residue set between stages, and assembles the
+/// per-phase [`RunReport`].
 #[must_use = "dropping the result discards both the SCC partition and the run's error/recovery record"]
 pub fn run_pipeline<G: GraphView>(
     g: &G,
@@ -479,56 +434,70 @@ pub fn run_pipeline<G: GraphView>(
     guard: &RunGuard,
 ) -> Result<(SccResult, RunReport), SccError> {
     with_pool(cfg.threads, || {
-        let kernels: Vec<Box<dyn PhaseKernel<G>>> = pipeline.compile();
         let state =
             AlgoState::with_interrupt(g, Arc::clone(guard.interrupt()), cfg.watchdog_factor);
         let collector = Collector::new(cfg.task_log_limit);
-
-        let outcome = {
-            let mut ctx = PipelineCtx {
-                cfg,
-                collector: &collector,
-                groups: None,
-                queue_stats: QueueStats::default(),
-                initial_tasks: 0,
-                k_default: pipeline.default_k(),
-            };
-            run_stages(&kernels, &state, &mut ctx).map(|()| (ctx.queue_stats, ctx.initial_tasks))
+        let mut ctx = PipelineCtx {
+            cfg,
+            collector: &collector,
+            groups: None,
+            queue_stats: QueueStats::default(),
+            initial_tasks: 0,
+            fwbw_trials: 0,
+            k_default: pipeline.default_k(),
         };
-        match outcome {
-            Ok((queue_stats, initial_tasks)) => {
+        let outcome = run_stages(pipeline.stages(), &state, &mut ctx);
+        let PipelineCtx {
+            queue_stats,
+            initial_tasks,
+            fwbw_trials,
+            ..
+        } = ctx;
+        let (result, mut report) = match outcome {
+            Ok(()) => {
                 driver::check_interrupt(&state)?;
                 let report = collector.into_report(queue_stats, initial_tasks);
-                Ok((state.into_result(), report))
+                (state.into_result(), report)
             }
-            Err(StageError::Fatal(e)) => Err(e),
+            Err(StageError::Fatal(e)) => return Err(e),
             Err(StageError::Dirty(message)) => {
-                driver::recover_full_restart(g, collector, cfg, message)
+                driver::recover_full_restart(g, collector, cfg, message)?
             }
-        }
+        };
+        report.fwbw_trials = fwbw_trials;
+        Ok((result, report))
     })
 }
 
-/// The stage sequencer: interrupt poll, timed + guarded kernel run, then
-/// a live-set compaction hand-off, per stage.
+/// The stage sequencer: interrupt poll, then the stage timed under its
+/// phase and run inside the panic boundary, then a live-set compaction
+/// hand-off.
 fn run_stages<G: GraphView>(
-    kernels: &[Box<dyn PhaseKernel<G>>],
+    stages: &[Stage],
     state: &AlgoState<'_, G>,
     ctx: &mut PipelineCtx<'_>,
 ) -> Result<(), StageError> {
-    for kernel in kernels {
+    let mut trimmed = false;
+    for &stage in stages {
         driver::check_interrupt(state).map_err(StageError::Fatal)?;
+        let phase = stage.phase(trimmed);
+        trimmed |= stage == Stage::Trim;
         let collector = ctx.collector;
-        let outcome = match kernel.phase() {
-            Some(phase) => collector.phase(phase, || {
-                let out = run_guarded(kernel.as_ref(), state, ctx);
-                let resolved = out.as_ref().map_or(0, |o| o.resolved);
-                (resolved, out)
-            }),
-            // Composite kernels attribute their sub-steps internally.
-            None => run_guarded(kernel.as_ref(), state, ctx),
-        };
-        outcome?;
+        collector.phase(phase, || {
+            let out = if stage == Stage::Tasks {
+                // The work queue recovers its boundary panics in place
+                // (retry / degrade), which the blanket dirty boundary
+                // cannot express.
+                run_stage(stage, state, ctx)
+            } else {
+                // A panic inside a data-parallel stage may have split an
+                // SCC across the resolved/unresolved divide; only a
+                // restart is sound.
+                driver::catch_phase(|| run_stage(stage, state, ctx))
+                    .unwrap_or_else(|message| Err(StageError::Dirty(message)))
+            };
+            (*out.as_ref().unwrap_or(&0), out)
+        })?;
         // Phase-boundary compaction point: the next stage's full sweeps
         // cost O(|residue|) (policy-gated; `Never` keeps O(N) sweeps).
         state.compact_live(ctx.cfg.live_set_compaction);
@@ -536,247 +505,79 @@ fn run_stages<G: GraphView>(
     Ok(())
 }
 
-/// Runs one kernel inside the engine's panic boundary (unless the kernel
-/// is self-recovering — the work-queue stage, whose recovery loop
-/// distinguishes boundary from dirty panics itself).
-fn run_guarded<G: GraphView>(
-    kernel: &dyn PhaseKernel<G>,
+/// Runs one stage to completion (or typed failure); returns the nodes it
+/// resolved.
+fn run_stage<G: GraphView>(
+    stage: Stage,
     state: &AlgoState<'_, G>,
     ctx: &mut PipelineCtx<'_>,
-) -> Result<PhaseOutcome, StageError> {
-    if kernel.self_recovering() {
-        return kernel.run(state, ctx);
-    }
-    match driver::catch_phase(|| kernel.run(state, ctx)) {
-        Ok(out) => out,
-        // A panic inside a data-parallel kernel may have split an SCC
-        // across the resolved/unresolved divide; only a restart is sound.
-        Err(message) => Err(StageError::Dirty(message)),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Kernels
-// ---------------------------------------------------------------------------
-
-/// [`Stage::Trim`]: Par-Trim to fixpoint.
-struct TrimKernel {
-    /// `ParTrim` for the pipeline's first trim, `ParTrim2` after.
-    phase: Phase,
-}
-
-impl<G: GraphView> PhaseKernel<G> for TrimKernel {
-    fn name(&self) -> &'static str {
-        "trim"
-    }
-    fn phase(&self) -> Option<Phase> {
-        Some(self.phase)
-    }
-    fn run(
-        &self,
-        state: &AlgoState<'_, G>,
-        _ctx: &mut PipelineCtx<'_>,
-    ) -> Result<PhaseOutcome, StageError> {
-        Ok(PhaseOutcome {
-            resolved: par_trim(state),
-        })
-    }
-}
-
-/// [`Stage::Fwbw`] / [`Stage::Peel`]: the data-parallel giant-SCC peel.
-struct FwbwKernel {
-    /// Multistep mode: exactly one trial from the max-degree-product
-    /// pivot, regardless of the configured strategy.
-    single_peel: bool,
-}
-
-impl<G: GraphView> PhaseKernel<G> for FwbwKernel {
-    fn name(&self) -> &'static str {
-        if self.single_peel {
-            "peel"
-        } else {
-            "fwbw"
-        }
-    }
-    fn phase(&self) -> Option<Phase> {
-        Some(Phase::ParFwbw)
-    }
-    fn run(
-        &self,
-        state: &AlgoState<'_, G>,
-        ctx: &mut PipelineCtx<'_>,
-    ) -> Result<PhaseOutcome, StageError> {
-        let peel_cfg;
-        let cfg = if self.single_peel {
-            peel_cfg = SccConfig {
+) -> Result<usize, StageError> {
+    let cfg = ctx.cfg;
+    let resolved = match stage {
+        Stage::Trim => par_trim(state),
+        Stage::Trim2 => par_trim2(state),
+        Stage::Fwbw | Stage::Peel => {
+            // Multistep's peel: exactly one trial from the
+            // max-degree-product pivot, whatever the configured strategy.
+            let peel = SccConfig {
                 pivot: PivotStrategy::MaxDegreeProduct,
                 max_trials: 1,
-                ..*ctx.cfg
+                ..*cfg
             };
-            &peel_cfg
-        } else {
-            ctx.cfg
-        };
-        let outcome = par_fwbw(state, cfg, INITIAL_COLOR);
-        // ordering: driver-thread statistic updated between stages; the
-        // into_report load happens after all joins.
-        ctx.collector
-            .fwbw_trials
-            .fetch_add(outcome.trials, Ordering::Relaxed);
-        Ok(PhaseOutcome {
-            resolved: outcome.resolved,
-        })
-    }
+            let cfg = if stage == Stage::Peel { &peel } else { cfg };
+            let outcome = par_fwbw(state, cfg, INITIAL_COLOR);
+            ctx.fwbw_trials += outcome.trials;
+            outcome.resolved
+        }
+        Stage::Wcc => {
+            ctx.groups = Some(run_wcc(state, cfg).groups);
+            0
+        }
+        Stage::Coloring | Stage::ColorTail => {
+            let (rounds, resolved) = coloring(state, cfg, stage == Stage::ColorTail);
+            ctx.fwbw_trials += rounds;
+            if stage == Stage::Coloring {
+                ctx.initial_tasks = rounds;
+            }
+            resolved
+        }
+        Stage::Serial => state.resolve_residue_sequential(),
+        Stage::Tasks => {
+            // Seeded by a preceding Par-WCC's groups, or by the §4.2
+            // color scan.
+            let tasks: Vec<Task> = match ctx.groups.take() {
+                Some(groups) => groups
+                    .into_iter()
+                    .map(|(color, members)| {
+                        if cfg.hybrid_sets {
+                            Task::WithMembers { color, members }
+                        } else {
+                            Task::ColorOnly { color }
+                        }
+                    })
+                    .collect(),
+                None => seed_tasks(state, cfg),
+            };
+            ctx.initial_tasks = tasks.len();
+            let queue: TwoLevelQueue<Task> =
+                TwoLevelQueue::from_tasks(cfg.resolve_k(ctx.k_default), tasks);
+            let rctx = RecurContext::new(state, ctx.collector, cfg);
+            let res = driver::run_queue_with_recovery(&queue, &rctx, cfg)?;
+            ctx.queue_stats = res.stats;
+            res.resolved
+        }
+    };
+    Ok(resolved)
 }
 
-/// [`Stage::Trim2`]: one Par-Trim2 pass.
-struct Trim2Kernel;
-
-impl<G: GraphView> PhaseKernel<G> for Trim2Kernel {
-    fn name(&self) -> &'static str {
-        "trim2"
-    }
-    fn phase(&self) -> Option<Phase> {
-        Some(Phase::ParTrim2)
-    }
-    fn run(
-        &self,
-        state: &AlgoState<'_, G>,
-        _ctx: &mut PipelineCtx<'_>,
-    ) -> Result<PhaseOutcome, StageError> {
-        Ok(PhaseOutcome {
-            resolved: par_trim2(state),
-        })
-    }
-}
-
-/// [`Stage::Wcc`]: Par-WCC re-partitioning, groups stashed for the next
-/// [`Stage::Tasks`].
-struct WccKernel;
-
-impl<G: GraphView> PhaseKernel<G> for WccKernel {
-    fn name(&self) -> &'static str {
-        "wcc"
-    }
-    fn phase(&self) -> Option<Phase> {
-        Some(Phase::ParWcc)
-    }
-    fn run(
-        &self,
-        state: &AlgoState<'_, G>,
-        ctx: &mut PipelineCtx<'_>,
-    ) -> Result<PhaseOutcome, StageError> {
-        let out = run_wcc(state, ctx.cfg);
-        ctx.groups = Some(out.groups);
-        Ok(PhaseOutcome { resolved: 0 })
-    }
-}
-
-/// [`Stage::Tasks`]: the recursive FW-BW work-queue phase, seeded either
-/// by a preceding Par-WCC's groups or by the §4.2 color scan.
-struct TasksKernel;
-
-impl<G: GraphView> PhaseKernel<G> for TasksKernel {
-    fn name(&self) -> &'static str {
-        "tasks"
-    }
-    fn phase(&self) -> Option<Phase> {
-        Some(Phase::RecurFwbw)
-    }
-    fn self_recovering(&self) -> bool {
-        true
-    }
-    fn run(
-        &self,
-        state: &AlgoState<'_, G>,
-        ctx: &mut PipelineCtx<'_>,
-    ) -> Result<PhaseOutcome, StageError> {
-        let cfg = ctx.cfg;
-        let tasks: Vec<Task> = match ctx.groups.take() {
-            Some(groups) => groups
-                .into_iter()
-                .map(|(color, members)| {
-                    if cfg.hybrid_sets {
-                        Task::WithMembers { color, members }
-                    } else {
-                        Task::ColorOnly { color }
-                    }
-                })
-                .collect(),
-            None => seed_tasks(state, cfg),
-        };
-        ctx.initial_tasks = tasks.len();
-        let queue: TwoLevelQueue<Task> =
-            TwoLevelQueue::from_tasks(cfg.resolve_k(ctx.k_default), tasks);
-        let rctx = RecurContext::new(state, ctx.collector, cfg);
-        let res = driver::run_queue_with_recovery(&queue, &rctx, cfg)?;
-        ctx.queue_stats = res.stats;
-        Ok(PhaseOutcome {
-            resolved: res.resolved,
-        })
-    }
-}
-
-/// [`Stage::Serial`]: sequential Tarjan on the induced residual subgraph.
-struct SerialKernel;
-
-impl<G: GraphView> PhaseKernel<G> for SerialKernel {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-    fn phase(&self) -> Option<Phase> {
-        Some(Phase::RecurFwbw)
-    }
-    fn run(
-        &self,
-        state: &AlgoState<'_, G>,
-        _ctx: &mut PipelineCtx<'_>,
-    ) -> Result<PhaseOutcome, StageError> {
-        Ok(PhaseOutcome {
-            resolved: state.resolve_residue_sequential(),
-        })
-    }
-}
-
-/// [`Stage::Coloring`]: Orzan max-label-propagation rounds until the
-/// residue is exhausted.
-///
-/// Composite kernel: label-propagation work is attributed to
-/// [`Phase::ParFwbw`] (it plays the same "find SCC seeds by reachability"
-/// role) and the backward collection to [`Phase::RecurFwbw`], matching
-/// the legacy Coloring driver's report shape. The round count lands in
-/// [`RunReport::fwbw_trials`] and [`RunReport::initial_tasks`].
-struct ColoringKernel;
-
-impl<G: GraphView> PhaseKernel<G> for ColoringKernel {
-    fn name(&self) -> &'static str {
-        "coloring"
-    }
-    fn phase(&self) -> Option<Phase> {
-        None
-    }
-    fn run(
-        &self,
-        state: &AlgoState<'_, G>,
-        ctx: &mut PipelineCtx<'_>,
-    ) -> Result<PhaseOutcome, StageError> {
-        let rounds = coloring_rounds(state, ctx);
-        // ordering: driver-thread statistic (between stages, before the
-        // into_report load).
-        ctx.collector
-            .fwbw_trials
-            .fetch_add(rounds, Ordering::Relaxed);
-        ctx.initial_tasks = rounds;
-        Ok(PhaseOutcome { resolved: 0 })
-    }
-}
-
-/// The Coloring rounds proper; returns the round count.
-fn coloring_rounds<G: GraphView>(state: &AlgoState<'_, G>, ctx: &mut PipelineCtx<'_>) -> usize {
-    let n = state.num_nodes();
-    let collector = ctx.collector;
-    let labels: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let mut rounds = 0usize;
+/// Orzan max-label-propagation rounds over the residue; returns the
+/// round count and the nodes resolved. [`Stage::Coloring`] runs rounds
+/// until the residue is empty. The Multistep `tail` stops below
+/// [`COLOR_TAIL_SERIAL_CUTOFF`] alive nodes or after
+/// [`COLOR_TAIL_MAX_ROUNDS`] rounds, and trims after every round.
+fn coloring<G: GraphView>(state: &AlgoState<'_, G>, cfg: &SccConfig, tail: bool) -> (usize, usize) {
+    let labels: Vec<AtomicU32> = (0..state.num_nodes() as u32).map(AtomicU32::new).collect();
+    let (mut rounds, mut resolved) = (0usize, 0usize);
     loop {
         swscc_sync::fault::point("coloring-round");
         if state.should_stop() {
@@ -785,183 +586,57 @@ fn coloring_rounds<G: GraphView>(state: &AlgoState<'_, G>, ctx: &mut PipelineCtx
         // Round setup: compact the live set (each round resolves whole
         // label classes, so the residue shrinks fast), then gather the
         // alive nodes from it — O(|residue|) instead of O(N) per round.
-        state.compact_live(ctx.cfg.live_set_compaction);
+        state.compact_live(cfg.live_set_compaction);
         let alive: Vec<NodeId> = state.collect_alive();
-        if alive.is_empty() {
+        let done = if tail {
+            alive.len() <= COLOR_TAIL_SERIAL_CUTOFF || rounds >= COLOR_TAIL_MAX_ROUNDS
+        } else {
+            alive.is_empty()
+        };
+        if done {
             break;
         }
         rounds += 1;
-        // ordering: per-round label reset — each worker writes only
-        // its own chunk's entries and the par_iter join publishes
-        // them before the propagation loop reads any.
-        alive
-            .par_iter()
-            .for_each(|&v| labels[v as usize].store(v, Ordering::Relaxed));
-
-        // Forward max-propagation to fixpoint. The max label needs at
-        // most one round per node on the longest alive path plus one
-        // no-change round to detect convergence, hence the n + 1 bound.
-        collector.phase(Phase::ParFwbw, || {
-            let mut watchdog = state.watchdog("coloring-propagation", n + 1);
-            loop {
-                if watchdog.check().is_some() {
-                    break;
-                }
-                let changed = AtomicBool::new(false);
-                alive.par_iter().for_each(|&v| {
-                    // ordering: monotone fetch_max convergence — labels
-                    // only increase, stale reads merely defer an update
-                    // to a later sweep, and the atomic fetch_max never
-                    // loses the larger value. `changed` is a sticky
-                    // flag read after the sweep's join (which is what
-                    // publishes it), so Relaxed suffices there too.
-                    let mut max = labels[v as usize].load(Ordering::Relaxed);
-                    state.g.for_each_neighbor(Direction::Backward, v, |u| {
-                        if u != v && state.alive(u) {
-                            max = max.max(labels[u as usize].load(Ordering::Relaxed));
-                        }
-                    });
-                    if max > labels[v as usize].load(Ordering::Relaxed) {
-                        labels[v as usize].fetch_max(max, Ordering::Relaxed);
-                        changed.store(true, Ordering::Relaxed);
-                    }
-                });
-                // ordering: read after the par_iter join above.
-                if !changed.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-            (0, ())
-        });
-        if state.should_stop() {
-            // Labels may be mid-fixpoint; collecting classes now would
-            // resolve sets that are not SCCs. The engine surfaces the
-            // abort, so partial state is discarded anyway.
+        // `None`: the labels are mid-fixpoint and collecting classes now
+        // would resolve sets that are not SCCs. The engine polls the
+        // interrupt and surfaces the abort.
+        let Some(round) = coloring_round(state, &labels, &alive) else {
             break;
+        };
+        debug_assert!(round > 0, "a round must make progress");
+        resolved += round;
+        if tail {
+            resolved += par_trim(state);
         }
-
-        // Collect one SCC per root: backward BFS within the label class.
-        // Within one round the label classes partition the alive nodes
-        // and each class is processed by exactly one root's backward
-        // search, so no two searches can claim the same node.
-        let resolved_this_round = collector.phase(Phase::RecurFwbw, || {
-            let resolved = AtomicUsize::new(0);
-            // ordering: the propagation fixpoint completed and its
-            // joins published the final labels; these reads race with
-            // nothing.
-            let roots: Vec<NodeId> = alive
-                .par_iter()
-                .copied()
-                .filter(|&v| labels[v as usize].load(Ordering::Relaxed) == v)
-                .collect();
-            // Roots own disjoint label classes, so their backward
-            // searches touch disjoint node sets and can run in parallel.
-            roots.par_iter().for_each(|&r| {
-                let comp = state.alloc_component();
-                debug_assert!(state.alive(r));
-                state.resolve_into(r, comp);
-                // ordering: statistic counter — atomicity keeps the
-                // total exact, the join below publishes it.
-                resolved.fetch_add(1, Ordering::Relaxed);
-                let mut stack = vec![r];
-                while let Some(v) = stack.pop() {
-                    state.g.for_each_neighbor(Direction::Backward, v, |u| {
-                        // ordering: label classes are frozen (fixpoint
-                        // reached, published by the joins above) and
-                        // disjoint per root, so these reads see final
-                        // values; the counter argument is as above.
-                        if u != v
-                            && state.alive(u)
-                            && labels[u as usize].load(Ordering::Relaxed) == r
-                        {
-                            state.resolve_into(u, comp);
-                            resolved.fetch_add(1, Ordering::Relaxed);
-                            stack.push(u);
-                        }
-                    });
-                }
-            });
-            // ordering: read after the par_iter join.
-            let r = resolved.load(Ordering::Relaxed);
-            (r, r)
-        });
-        debug_assert!(resolved_this_round > 0, "a round must make progress");
     }
-    rounds
+    (rounds, resolved)
 }
 
-/// [`Stage::ColorTail`]: Multistep's bounded, color-respecting Coloring
-/// tail with interleaved trims.
-///
-/// Composite kernel: rounds are attributed to [`Phase::ParWcc`] (the
-/// label-propagation slot) and the interleaved trims to
-/// [`Phase::ParTrim2`], matching the legacy Multistep driver. The round
-/// count is added to [`RunReport::fwbw_trials`].
-struct ColorTailKernel;
-
-impl<G: GraphView> PhaseKernel<G> for ColorTailKernel {
-    fn name(&self) -> &'static str {
-        "colortail"
-    }
-    fn phase(&self) -> Option<Phase> {
-        None
-    }
-    fn run(
-        &self,
-        state: &AlgoState<'_, G>,
-        ctx: &mut PipelineCtx<'_>,
-    ) -> Result<PhaseOutcome, StageError> {
-        let n = state.num_nodes();
-        let collector = ctx.collector;
-        let labels: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-        let mut rounds = 0usize;
-        loop {
-            swscc_sync::fault::point("coloring-round");
-            if state.should_stop() {
-                break;
-            }
-            // Each hand-off compacts the live set, so the per-round alive
-            // gather costs O(|residue|).
-            state.compact_live(ctx.cfg.live_set_compaction);
-            let alive: Vec<NodeId> = state.collect_alive();
-            if alive.len() <= COLOR_TAIL_SERIAL_CUTOFF || rounds >= COLOR_TAIL_MAX_ROUNDS {
-                break;
-            }
-            rounds += 1;
-            collector.phase(Phase::ParWcc, || {
-                (color_tail_round(state, &labels, &alive), ())
-            });
-            collector.phase(Phase::ParTrim2, || (par_trim(state), ()));
-        }
-        // ordering: driver-thread statistic (between stages, before the
-        // into_report load).
-        collector.fwbw_trials.fetch_add(rounds, Ordering::Relaxed);
-        Ok(PhaseOutcome { resolved: 0 })
-    }
-}
-
-/// One Coloring round restricted to nodes whose colors partition the
-/// residue: labels respect the color classes (max-label flows only between
-/// same-color alive nodes), so every detected SCC stays within one class.
-/// Returns the number of nodes resolved.
-fn color_tail_round<G: GraphView>(
+/// One Coloring round over `alive`, whose colors partition the residue
+/// into SCC-closed classes: max labels flow only between same-color
+/// nodes, so every detected SCC stays within one class. (In the stock
+/// `trim,coloring` every alive node has [`INITIAL_COLOR`] and every
+/// resolved one `DONE_COLOR`, so "same color" is "alive".) Returns the
+/// number of nodes resolved, or `None` if the interrupt or the watchdog
+/// stopped the propagation.
+fn coloring_round<G: GraphView>(
     state: &AlgoState<'_, G>,
     labels: &[AtomicU32],
     alive: &[NodeId],
-) -> usize {
-    // ordering: disjoint per-round reset published by the par_iter join
-    // (same argument as the Coloring kernel's round setup).
+) -> Option<usize> {
+    // ordering: per-round label reset — each worker writes only its own
+    // chunk's entries and the par_iter join publishes them before the
+    // propagation loop reads any.
     alive
         .par_iter()
         .for_each(|&v| labels[v as usize].store(v, Ordering::Relaxed));
-    // Bound as in the Coloring kernel: the max label travels at most one
-    // hop per round, plus one no-change round to detect convergence.
-    let mut watchdog = state.watchdog("multistep-coloring", state.g.num_nodes() + 1);
+    // Forward max-propagation to fixpoint. The max label travels at most
+    // one hop per sweep, plus one no-change sweep to detect convergence,
+    // hence the n + 1 bound.
+    let mut watchdog = state.watchdog("coloring-propagation", state.num_nodes() + 1);
     loop {
         if watchdog.check().is_some() {
-            // Mid-fixpoint labels are unusable for collection; the engine
-            // polls the interrupt and surfaces the abort.
-            return 0;
+            return None;
         }
         let changed = AtomicBool::new(false);
         alive.par_iter().for_each(|&v| {
@@ -986,6 +661,10 @@ fn color_tail_round<G: GraphView>(
             break;
         }
     }
+    // Collect one SCC per root: backward search within the label class.
+    // Label classes partition the alive nodes and each is searched by
+    // exactly one root, so the searches claim disjoint node sets and can
+    // run in parallel.
     let resolved = AtomicUsize::new(0);
     // ordering: fixpoint reached; final labels were published by the
     // sweep joins, so root selection races with nothing.
@@ -1016,7 +695,7 @@ fn color_tail_round<G: GraphView>(
         }
     });
     // ordering: read after the par_iter join.
-    resolved.load(Ordering::Relaxed)
+    Some(resolved.load(Ordering::Relaxed))
 }
 
 #[cfg(test)]
@@ -1024,6 +703,7 @@ mod tests {
     use super::*;
     use crate::tarjan::tarjan_scc;
     use crate::Algorithm;
+    use swscc_graph::CsrGraph;
 
     #[test]
     fn stage_names_round_trip() {

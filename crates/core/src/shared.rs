@@ -15,6 +15,9 @@
 //!   plus an `Arc`-shared overlay of added and removed inter-component
 //!   edges. An edge-level write touches only the overlay; the overlay
 //!   folds into a fresh base on compaction.
+//!
+//! It also holds `Stamps`, the generation-stamped visit marks that the
+//! engine's and the snapshot's searches keep between queries.
 
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
@@ -360,9 +363,89 @@ pub(crate) fn topo_ranks(cond: &CsrGraph) -> Vec<u32> {
     ranks
 }
 
+/// Generation-stamped visit marks: entry `i` counts as marked with stamp
+/// `s` while `self[i] == s`, so a search that takes fresh stamps from
+/// [`Stamps::begin`] clears every older mark in O(1).
+#[derive(Default)]
+pub(crate) struct Stamps {
+    stamps: Vec<u32>,
+    /// The highest stamp handed out; every entry holds at most this.
+    current: u32,
+}
+
+impl Stamps {
+    pub(crate) const fn new() -> Stamps {
+        Stamps {
+            stamps: Vec::new(),
+            current: 0,
+        }
+    }
+
+    /// Sizes the array for `len` ids and returns the first of `k` fresh
+    /// stamps, `first..first + k`, which no entry holds yet. A wrap
+    /// clears the array for real.
+    pub(crate) fn begin(&mut self, len: usize, k: u32) -> u32 {
+        if self.stamps.len() < len {
+            self.stamps.resize(len, 0);
+        }
+        if self.current > u32::MAX - k {
+            self.stamps.fill(0);
+            self.current = 0;
+        }
+        let first = self.current + 1;
+        self.current += k;
+        first
+    }
+
+    /// Number of ids the array covers.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.stamps.len()
+    }
+
+    /// Whether no search has sized the array yet.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.stamps.is_empty()
+    }
+}
+
+impl std::ops::Index<usize> for Stamps {
+    type Output = u32;
+    fn index(&self, i: usize) -> &u32 {
+        &self.stamps[i]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Stamps {
+    fn index_mut(&mut self, i: usize) -> &mut u32 {
+        &mut self.stamps[i]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stamps_clear_on_wrap() {
+        let mut s = Stamps::new();
+        assert_eq!(s.begin(4, 2), 1);
+        s[0] = 1;
+        s[1] = 2;
+        assert_eq!(s.begin(4, 1), 3, "fresh stamps follow the last ones");
+        assert!((0..4).all(|i| s[i] != 3));
+        // Two stamps left before the wrap: a 2-stamp search still fits,
+        // the next one clears the array and starts over.
+        s.current = u32::MAX - 2;
+        s[2] = u32::MAX - 2;
+        assert_eq!(s.begin(4, 2), u32::MAX - 1);
+        s[3] = u32::MAX;
+        assert_eq!(s.begin(6, 2), 1);
+        assert_eq!(s.len(), 6);
+        assert!((0..6).all(|i| s[i] == 0), "the wrap cleared every mark");
+        assert_eq!(s.begin(6, 1), 3);
+    }
 
     #[test]
     fn paged_set_copies_only_shared_pages() {

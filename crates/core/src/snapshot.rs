@@ -50,7 +50,7 @@ use crate::error::{RunGuard, SccError};
 use crate::instrument::RunReport;
 use crate::pipeline::{run_pipeline, Pipeline};
 use crate::result::SccResult;
-use crate::shared::{topo_ranks, Condensation, PagedVec, POS_GAP};
+use crate::shared::{topo_ranks, Condensation, PagedVec, Stamps, POS_GAP};
 use std::cell::RefCell;
 use swscc_graph::{GraphView, NodeId};
 
@@ -183,27 +183,13 @@ impl SccSnapshot {
         }
         REACH_SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
-            let ReachScratch {
-                stamps,
-                current,
-                queue,
-            } = &mut *scratch;
+            let ReachScratch { stamps, queue } = &mut *scratch;
             // Each component enters the queue at most once per query, so
             // arrays sized to the id space never grow mid-search.
             let ids = self.positions.len();
-            if stamps.len() < ids {
-                stamps.resize(ids, 0);
-            }
             queue.clear();
             queue.reserve(ids);
-            // Stamp-versioned visited marks: bumping `current` clears
-            // every mark at once; a wrap clears the array for real.
-            *current = current.wrapping_add(1);
-            if *current == 0 {
-                stamps.fill(0);
-                *current = 1;
-            }
-            let stamp = *current;
+            let stamp = stamps.begin(ids, 1);
             stamps[from as usize] = stamp;
             queue.push(from);
             let mut head = 0;
@@ -240,9 +226,8 @@ impl SccSnapshot {
 /// Per-thread reach search state, kept between queries so a query
 /// allocates nothing once the arrays fit the id space.
 struct ReachScratch {
-    /// `stamps[c] == current` marks component `c` visited.
-    stamps: Vec<u32>,
-    current: u32,
+    /// The query's stamp marks a component visited.
+    stamps: Stamps,
     /// BFS queue; one level is a contiguous run of it.
     queue: Vec<u32>,
 }
@@ -250,8 +235,7 @@ struct ReachScratch {
 thread_local! {
     static REACH_SCRATCH: RefCell<ReachScratch> = const {
         RefCell::new(ReachScratch {
-            stamps: Vec::new(),
-            current: 0,
+            stamps: Stamps::new(),
             queue: Vec::new(),
         })
     };

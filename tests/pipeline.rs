@@ -5,12 +5,13 @@
 //! partition on every corpus graph at 1/2/4 threads, and illegal
 //! compositions must be rejected up front.
 
+use std::time::Duration;
 use swscc::core::instrument::Phase;
 use swscc::graph::datasets::Dataset;
 use swscc::graph::gen::{bowtie, erdos_renyi, watts_strogatz, BowtieConfig};
 use swscc::{
     detect_scc, run_pipeline, Algorithm, CsrGraph, Pipeline, PipelineError, PivotStrategy,
-    RunGuard, RunReport, SccConfig, SccResult,
+    RunGuard, RunReport, SccConfig, SccError, SccResult,
 };
 
 /// The stock stage list of every algorithm that has one.
@@ -209,6 +210,44 @@ fn satellite_cycles() -> CsrGraph {
     CsrGraph::from_edges(next as usize, &edges)
 }
 
+/// A chain of `units` 3-cycles joined through connector nodes, each
+/// connector numbered below the cycle before it:
+/// `C_0 -> x_0 -> C_1 -> ... -> C_{units-1}`. No node trims at first,
+/// and one Coloring round resolves every cycle at once (each cycle's
+/// maximum beats everything upstream). It cannot resolve the connectors,
+/// whose label comes from the cycle before them; once the cycles are
+/// gone they all trim. Ids start at `base`.
+fn cycle_chain_edges(base: u32, units: u32) -> Vec<(u32, u32)> {
+    let mut edges = Vec::new();
+    for i in 0..units {
+        let x = base + 4 * i;
+        let (a, b, c) = (x + 1, x + 2, x + 3);
+        edges.extend([(a, b), (b, c), (c, a)]);
+        if i + 1 < units {
+            edges.extend([(c, x), (x, x + 5)]);
+        }
+    }
+    edges
+}
+
+/// Nodes of [`cycle_chain_edges`]`(base, units)`; its last connector id
+/// is unused and stays an isolated node.
+fn cycle_chain_len(units: u32) -> u32 {
+    4 * units
+}
+
+/// A 1000-node ring whose hub 0 has 2-cycles with 100 ring nodes (the
+/// max-degree-product pivot, so the peel takes the ring), beside a
+/// 200-unit [`cycle_chain_edges`]: 799 nodes are left after the peel and
+/// the trims, enough for Multistep's Coloring tail.
+fn ring_and_cycle_chain() -> CsrGraph {
+    let ring = 1000u32;
+    let mut edges: Vec<(u32, u32)> = (0..ring).map(|i| (i, (i + 1) % ring)).collect();
+    edges.extend((1..=100u32).flat_map(|i| [(0, 10 * i - 1), (10 * i - 1, 0)]));
+    edges.extend(cycle_chain_edges(ring, 200));
+    CsrGraph::from_edges((ring + cycle_chain_len(200)) as usize, &edges)
+}
+
 fn attribution_cases() -> Vec<AttributionCase> {
     let max_degree_product = |threads| SccConfig {
         pivot: PivotStrategy::MaxDegreeProduct,
@@ -394,6 +433,34 @@ fn attribution_cases() -> Vec<AttributionCase> {
             },
         },
         AttributionCase {
+            // The whole `coloring` stage counts under recur-fwbw: the
+            // pendant 6 trims first, every other node falls to the rounds.
+            name: "coloring::rounds_count_under_recur_fwbw",
+            algo: Algorithm::Coloring,
+            graph: CsrGraph::from_edges(
+                7,
+                &[
+                    (5, 4),
+                    (4, 5),
+                    (4, 3),
+                    (3, 2),
+                    (2, 3),
+                    (2, 1),
+                    (1, 0),
+                    (0, 1),
+                    (0, 6),
+                ],
+            ),
+            cfg: SccConfig::with_threads(2),
+            check: |_, r, report| {
+                assert_eq!(r.num_components(), 4);
+                assert_eq!(report.resolved_in(Phase::ParTrim), 1);
+                assert_eq!(report.resolved_in(Phase::RecurFwbw), 6);
+                assert_eq!(report.resolved_in(Phase::ParFwbw), 0);
+                assert_eq!(report.time_in(Phase::ParFwbw), Duration::ZERO);
+            },
+        },
+        AttributionCase {
             name: "coloring::dag_fully_trimmed_zero_rounds",
             algo: Algorithm::Coloring,
             graph: CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]),
@@ -418,6 +485,27 @@ fn attribution_cases() -> Vec<AttributionCase> {
                 assert_eq!(r.largest_component_size(), 2000);
                 assert_eq!(report.resolved_in(Phase::ParFwbw), 2000);
                 assert_eq!(report.resolved_in(Phase::ParTrim), 200);
+            },
+        },
+        AttributionCase {
+            // The peel takes the ring; the 200-unit chain is left for the
+            // tail, whose rounds and interleaved trims all count under
+            // par-wcc (the post-peel trim finds nothing to trim).
+            name: "multistep::color_tail_counts_under_par_wcc",
+            algo: Algorithm::Multistep,
+            graph: ring_and_cycle_chain(),
+            cfg: SccConfig::with_threads(2),
+            check: |_, r, report| {
+                // ring, 200 cycles, 199 connectors, 1 isolated id
+                assert_eq!(r.num_components(), 401);
+                assert_eq!(report.resolved_in(Phase::ParFwbw), 1000);
+                assert!(
+                    report.fwbw_trials >= 2,
+                    "the tail ran no round: {} trials",
+                    report.fwbw_trials
+                );
+                assert_eq!(report.resolved_in(Phase::ParTrim2), 0);
+                assert!(report.resolved_in(Phase::ParWcc) > 0);
             },
         },
         AttributionCase {
@@ -556,6 +644,40 @@ fn composition_bare_coloring() {
 #[test]
 fn composition_color_tail_without_peel() {
     assert_composition_matches_tarjan("trim,colortail,serial");
+}
+
+#[test]
+fn composition_coloring_after_peel() {
+    // The peel leaves several colors in the residue for Coloring.
+    assert_composition_matches_tarjan("trim,fwbw,trim,coloring");
+}
+
+#[test]
+fn composition_coloring_after_wcc() {
+    assert_composition_matches_tarjan("trim,wcc,coloring");
+}
+
+#[test]
+fn coloring_watchdogs_trip_end_to_end() {
+    // With a zero watchdog factor the first label-propagation sweep is
+    // over its bound: both Coloring stages must fail typed, never return
+    // a partition. The chain keeps 799 nodes past `trim`, so
+    // `colortail` runs rounds.
+    let g = CsrGraph::from_edges(cycle_chain_len(200) as usize, &cycle_chain_edges(0, 200));
+    let cfg = SccConfig {
+        watchdog_factor: 0,
+        ..SccConfig::with_threads(2)
+    };
+    for spec in ["trim,coloring", "trim,colortail,serial"] {
+        let pipeline = Pipeline::parse(spec).unwrap();
+        match run_pipeline(&g, &pipeline, &cfg, &RunGuard::new()) {
+            Err(SccError::NonConvergence { detail }) => {
+                assert!(detail.contains("coloring"), "{spec:?}: {detail}")
+            }
+            Err(e) => panic!("{spec:?} failed with {e} instead of non-convergence"),
+            Ok(_) => panic!("{spec:?} returned a partition past its watchdog"),
+        }
+    }
 }
 
 #[test]
